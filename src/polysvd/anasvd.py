@@ -62,11 +62,6 @@ class BinwiseSvd:
         """Materialize the k-th bin as a plain SvdResult."""
         return densela.SvdResult(U=self.U[k], sigma=self.sigma[k], V=self.V[k])
 
-    @property
-    def results(self) -> list:
-        """All bins as SvdResult values (materialized on access)."""
-        return [self.result(k) for k in range(self.n_bins)]
-
 
 @dataclass
 class SvTrajectories:
@@ -145,8 +140,21 @@ def _greedy_match(score: np.ndarray):
     Returns (perm, ambiguous): perm[m] is the column picked for row m;
     ambiguous is True when some pick beat its best available alternative
     by less than AMBIGUITY_MARGIN.
+
+    Fast path: when the row argmaxes form a permutation and every pick
+    beats the other entries of its row by AMBIGUITY_MARGIN, the elimination
+    below takes exactly those picks, largest first, and finds none
+    ambiguous: a column rival of the pick taken lies in the row of a
+    smaller pick, so it is at least AMBIGUITY_MARGIN below that pick too.
     """
     r = score.shape[0]
+    rows = np.arange(r)
+    perm = score.argmax(axis=1)
+    if len(set(perm.tolist())) == r:
+        others = score.copy()
+        others[rows, perm] = -np.inf
+        if (score[rows, perm] - others.max(axis=1)).min() >= AMBIGUITY_MARGIN:
+            return perm, False
     sc = score.copy()
     perm = np.full(r, -1, dtype=int)
     ambiguous = False
@@ -163,10 +171,24 @@ def _greedy_match(score: np.ndarray):
     return perm, ambiguous
 
 
+def _phase_aligned(g: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Columns perm of (u, v), each pair rotated by the unit phase that makes
+    its overlap g[m, perm[m]] with the previous left vector real positive."""
+    c = g[np.arange(perm.size), perm]
+    mag = np.abs(c)
+    phase = np.divide(c.conj(), mag, out=np.ones_like(c), where=mag > 0.0)
+    return u.take(perm, axis=1) * phase, v.take(perm, axis=1) * phase
+
+
+def _flipped(v_ref: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per column: Re <v_ref, v> < 0."""
+    return np.einsum("ij,ij->j", v_ref.conj(), v).real < 0.0
+
+
 def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     """Associate bin-wise singular triples into continuous signed tracks.
 
-    Per bin k (sequentially from bin 0):
+    Per bin k (sequentially from bin 0), for all tracks at once:
 
     1. match bin-k triples to the bin-(k-1) tracks greedily, in descending
        order of the left-singular-vector overlap |<u_prev, u_cur>|;
@@ -190,70 +212,48 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     """
     k_bins = bins.n_bins
     r = bins.n_tracks
-    values = np.empty((r, k_bins))
     signs = np.ones((r, k_bins))
     perms = np.empty((k_bins, r), dtype=int)
     u_al = np.empty((k_bins, bins.U.shape[1], r), dtype=np.complex128)
     v_al = np.empty((k_bins, bins.V.shape[1], r), dtype=np.complex128)
 
-    values[:, 0] = bins.sigma[0]
     perms[0] = np.arange(r)
     u_al[0] = bins.U[0][:, :r]
     v_al[0] = bins.V[0][:, :r]
 
-    u_prev = bins.U[0][:, :r].copy()
-    v_ref = bins.V[0][:, :r].copy()
-    smax0 = bins.sigma[0].max()
-    has_ref = bins.sigma[0] > _SIGN_REF_REL_FLOOR * (smax0 if smax0 > 0 else 1.0)
+    smax = bins.sigma.max(axis=1)
+    floors = _SIGN_REF_REL_FLOOR * np.where(smax > 0, smax, 1.0)
+    u_prev = u_al[0]
+    v_ref = v_al[0].copy()
+    has_ref = bins.sigma[0] > floors[0]
 
     ambiguous_bins = []
     for k in range(1, k_bins):
-        score = np.abs(u_prev.conj().T @ bins.U[k][:, :r])
-        perm, ambiguous = _greedy_match(score)
+        g = u_prev.conj().T @ bins.U[k][:, :r]
+        perm, ambiguous = _greedy_match(np.abs(g))
         if ambiguous:
             ambiguous_bins.append(k)
             perm = perms[k - 1]
         perms[k] = perm
-        smax = bins.sigma[k].max()
-        floor = _SIGN_REF_REL_FLOOR * (smax if smax > 0 else 1.0)
-        for m in range(r):
-            i = perm[m]
-            u = bins.U[k][:, i].copy()
-            v = bins.V[k][:, i].copy()
-            c = np.vdot(u_prev[:, m], u)
-            if abs(c) > 0.0:
-                phase = np.conj(c) / abs(c)
-                u *= phase
-                v *= phase
-            sign = signs[m, k - 1]
-            if has_ref[m]:
-                d = float(np.real(np.vdot(v_ref[:, m], v)))
-                sign = -1.0 if d < 0.0 else 1.0
-            if sign < 0:
-                v = -v
-            s_bin = bins.sigma[k][i]
-            values[m, k] = sign * s_bin
-            signs[m, k] = sign
-            u_al[k][:, m] = u
-            v_al[k][:, m] = v
-            if not ambiguous:
-                u_prev[:, m] = u
-                if s_bin > floor:
-                    v_ref[:, m] = v
-                    has_ref[m] = True
+        u, v = _phase_aligned(g, perm, bins.U[k], bins.V[k])
+        sign = np.where(has_ref, np.where(_flipped(v_ref, v), -1.0, 1.0),
+                        signs[:, k - 1])
+        v *= sign
+        signs[:, k] = sign
+        u_al[k] = u
+        v_al[k] = v
+        if not ambiguous:
+            u_prev = u
+            refresh = bins.sigma[k][perm] > floors[k]
+            np.copyto(v_ref, v, where=refresh)
+            has_ref |= refresh
+    values = signs * np.take_along_axis(bins.sigma, perms, axis=1).T
 
     # wrap-around step: continue from the last bin back into bin 0
-    score = np.abs(u_prev.conj().T @ bins.U[0][:, :r])
-    wrap_perm, _ = _greedy_match(score)
-    wrap_signs = np.ones(r)
-    for m in range(r):
-        i = wrap_perm[m]
-        v = bins.V[0][:, i].copy()
-        c = np.vdot(u_prev[:, m], bins.U[0][:, i])
-        if abs(c) > 0.0:
-            v = v * (np.conj(c) / abs(c))
-        if has_ref[m] and float(np.real(np.vdot(v_ref[:, m], v))) < 0.0:
-            wrap_signs[m] = -1.0
+    g = u_prev.conj().T @ bins.U[0][:, :r]
+    wrap_perm, _ = _greedy_match(np.abs(g))
+    _, v = _phase_aligned(g, wrap_perm, bins.U[0], bins.V[0])
+    wrap_signs = np.where(has_ref & _flipped(v_ref, v), -1.0, 1.0)
 
     if ambiguous_bins:
         first = ambiguous_bins[0]

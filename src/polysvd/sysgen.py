@@ -64,7 +64,9 @@ class GroundTruthSystem:
     sigmas: tuple
     V: PolyMatrix
     A: PolyMatrix
-    closed_forms: Optional[tuple] = None  # per-track omega -> real value
+    # independent per-track omega -> real value oracles, when the system
+    # has them (example1); None otherwise
+    closed_forms: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -168,16 +170,12 @@ def assemble(
             raise ValueError(f"sigma {m} is not parahermitian")
     diag = _diag_scalars(sigmas, rows, cols)
     a = ((U @ diag) @ V.parahermitian()).trim(TRIM_TOL)
-    if closed_forms is None:
-        closed_forms = tuple(
-            (lambda om, s=s: float(np.real(s.eval(om)[0, 0]))) for s in sigmas
-        )
     return GroundTruthSystem(
         U=U,
         sigmas=tuple(sigmas),
         V=V,
         A=a,
-        closed_forms=tuple(closed_forms),
+        closed_forms=None if closed_forms is None else tuple(closed_forms),
         meta=dict(meta or {}),
     )
 
@@ -226,16 +224,10 @@ def bigsys(rng) -> GroundTruthSystem:
 def reference_tracks(sys: GroundTruthSystem, n_bins: int) -> np.ndarray:
     """Majorized ground truth: per-bin descending |sigma_m(e^{j omega_k})|.
 
+    Each generator scalar is evaluated on the grid with ``eval_grid``;
+    ``closed_forms`` is not consulted, so it stays an independent oracle.
     Shape (R, K); comparable track-by-track with majorized trajectories of
     the (perturbed) assembled system.
     """
-    omegas = 2.0 * np.pi * np.arange(n_bins) / n_bins
-    r = len(sys.sigmas)
-    vals = np.empty((r, n_bins))
-    if sys.closed_forms is not None:
-        for m, f in enumerate(sys.closed_forms):
-            vals[m] = [f(om) for om in omegas]
-    else:
-        for m, s in enumerate(sys.sigmas):
-            vals[m] = np.real(s.eval_grid(n_bins)[:, 0, 0])
+    vals = np.stack([np.real(s.eval_grid(n_bins)[:, 0, 0]) for s in sys.sigmas])
     return -np.sort(-np.abs(vals), axis=0)

@@ -15,8 +15,8 @@ from polysvd import (
     majorized_trajectories,
     smooth_trajectories,
 )
-from polysvd.anasvd import write_trajectory_csv
-from polysvd.sysgen import SeededRng, example1, random_paraunitary
+from polysvd.anasvd import AMBIGUITY_MARGIN, _greedy_match, write_trajectory_csv
+from polysvd.sysgen import SeededRng, bigsys, example1, random_paraunitary
 
 RNG = np.random.default_rng(31415)
 
@@ -184,6 +184,89 @@ class TestSmooth:
         assert sm.wrap_permutation is not None
         assert sm.wrap_signs is not None
         assert sm.wrap_signs.shape == (2,)
+
+
+def eliminate(score):
+    """Reference greedy match: repeatedly take the global maximum."""
+    r = score.shape[0]
+    sc = score.copy()
+    perm = np.full(r, -1, dtype=int)
+    ambiguous = False
+    for _ in range(r):
+        m, i = np.unravel_index(np.argmax(sc), sc.shape)
+        best = sc[m, i]
+        sc[m, i] = -np.inf
+        alt = max(sc[m, :].max(), sc[:, i].max())
+        if np.isfinite(alt) and best - alt < AMBIGUITY_MARGIN:
+            ambiguous = True
+        perm[m] = i
+        sc[m, :] = -np.inf
+        sc[:, i] = -np.inf
+    return perm, ambiguous
+
+
+def near_identity(rng, r):
+    p = rng.permutation(r)
+    score = 0.5 * rng.random((r, r))
+    score[np.arange(r), p] = 0.8 + 0.2 * rng.random(r)
+    return score, p
+
+
+class TestGreedyMatch:
+    @staticmethod
+    def scores(r):
+        rng = np.random.default_rng(100 + r)
+        for _ in range(200):
+            yield rng.random((r, r))
+            yield near_identity(rng, r)[0]
+            for delta in (-1e-12, 0.0, 1e-12):
+                score, p = near_identity(rng, r)
+                m = rng.integers(r)
+                rival = score[m, p[m]] - (AMBIGUITY_MARGIN + delta)
+                if rng.random() < 0.5:
+                    score[m, p[(m + 1) % r]] = rival
+                else:
+                    score[(m + 1) % r, p[m]] = rival
+                yield score
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_matches_elimination(self, r):
+        for score in self.scores(r):
+            perm, ambiguous = _greedy_match(score)
+            want_perm, want_ambiguous = eliminate(score)
+            assert np.array_equal(perm, want_perm)
+            assert ambiguous == want_ambiguous
+
+    def test_clear_permutation_not_ambiguous(self):
+        score, p = near_identity(np.random.default_rng(7), 5)
+        perm, ambiguous = _greedy_match(score)
+        assert np.array_equal(perm, p) and not ambiguous
+
+
+class TestSmoothBigsys:
+    K = 4096
+
+    @pytest.fixture(scope="class", params=[0, 1])
+    def tracked(self, request):
+        sys = bigsys(SeededRng(request.param))
+        b = binwise_svd(sys.A, self.K)
+        return sys, b, smooth_trajectories(b)
+
+    def test_multiset_matches_majorized(self, tracked):
+        _, b, sm = tracked
+        mags = np.sort(np.abs(sm.values), axis=0)[::-1]
+        assert np.abs(mags - majorized_trajectories(b).values).max() <= 1e-12
+
+    def test_reconstruction_at_sampled_bins(self, tracked):
+        sys, b, sm = tracked
+        for k in range(0, self.K, 241):
+            recon = (sm.U[k] * sm.values[:, k]) @ sm.V[k].conj().T
+            assert np.abs(recon - sys.A.eval(b.omegas[k])).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coarse_grid_ambiguous(self, seed):
+        with pytest.warns(AssociationAmbiguous):
+            smooth_trajectories(binwise_svd(bigsys(SeededRng(seed)).A, 4))
 
 
 class TestDiagnostics:

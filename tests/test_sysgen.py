@@ -118,6 +118,11 @@ class TestAssemble:
         ref = reference_tracks(sys, k)
         assert np.abs(t.values - ref).max() < 1e-9
 
+    def test_reference_tracks_match_majorized_k4096(self):
+        sys = bigsys(SeededRng(0))
+        t = majorized_trajectories(binwise_svd(sys.A, 4096))
+        assert np.abs(t.values - reference_tracks(sys, 4096)).max() < 1e-9
+
     def test_energy_identity(self):
         # paraunitary factors preserve total coefficient energy
         sys = bigsys(SeededRng(10))
@@ -139,6 +144,13 @@ class TestExample1:
         f1, f2 = example1().closed_forms
         assert f1(np.pi) == pytest.approx(0.5)
         assert f2(np.pi) == pytest.approx(0.0, abs=1e-15)
+
+    def test_reference_tracks_match_closed_forms(self):
+        k = 1024
+        om = 2 * np.pi * np.arange(k) / k
+        mags = np.abs(np.stack([1 + np.cos(om) / 2, 2 * np.sin(om)]))
+        want = -np.sort(-mags, axis=0)
+        assert np.abs(reference_tracks(example1(), k) - want).max() <= 1e-14
 
     def test_factor_invariants(self):
         sys = example1()
@@ -169,6 +181,9 @@ class TestBigsys:
         a = bigsys(SeededRng(13)).A
         b = bigsys(SeededRng(14)).A
         assert (a - b).frob_energy() > 0
+
+    def test_no_closed_forms(self):
+        assert bigsys(SeededRng(11)).closed_forms is None
 
     def test_meta_records_seed(self):
         sys = bigsys(SeededRng(15, stream=3))
