@@ -43,12 +43,15 @@ class AssociationAmbiguous(UserWarning):
 
 @dataclass(frozen=True)
 class BinwiseSvd:
-    """Full SVD factors at every bin of a uniform frequency grid."""
+    """SVD factors at every bin of a uniform frequency grid.
 
-    omegas: np.ndarray  # (K,)
-    U: np.ndarray       # (K, M, M)
-    sigma: np.ndarray   # (K, R), R = min(M, L), descending per bin
-    V: np.ndarray       # (K, L, L)
+    U and V are None when the grid was decomposed without singular vectors.
+    """
+
+    omegas: np.ndarray            # (K,)
+    U: Optional[np.ndarray]       # (K, M, M)
+    sigma: np.ndarray             # (K, R), R = min(M, L), descending per bin
+    V: Optional[np.ndarray]       # (K, L, L)
 
     @property
     def n_bins(self) -> int:
@@ -113,14 +116,17 @@ class DiagnosticsReport:
     omegas: np.ndarray
 
 
-def binwise_svd(a: PolyMatrix, n_bins: int) -> BinwiseSvd:
+def binwise_svd(a: PolyMatrix, n_bins: int, vectors: bool = True) -> BinwiseSvd:
     """SVD of A(e^{j omega_k}) at omega_k = 2 pi k / K.
 
     K should comfortably exceed twice the order span of ``a`` for the
-    smooth association to be reliable; K >= 1 is accepted.
+    smooth association to be reliable; K >= 1 is accepted.  With
+    ``vectors=False`` only the singular values are computed and U and V
+    are None: enough for the majorized trajectories and their diagnostics,
+    not for smooth association.
     """
     grid = a.eval_grid(n_bins)
-    u, s, v = densela.svd_stack(grid)
+    u, s, v = densela.svd_stack(grid, vectors=vectors)
     omegas = 2.0 * np.pi * np.arange(n_bins) / n_bins
     return BinwiseSvd(omegas=omegas, U=u, sigma=s, V=v)
 
@@ -210,6 +216,9 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     class of the analytic singular values: per-track global sign and track
     order are not canonical.
     """
+    if bins.U is None:
+        raise ValueError("smooth association needs the singular vectors "
+                         "(binwise_svd with vectors=True)")
     k_bins = bins.n_bins
     r = bins.n_tracks
     signs = np.ones((r, k_bins))

@@ -149,9 +149,7 @@ def cmd_ex1(cfg: RunConfig) -> int:
         a = fixture.A
     bins = anasvd.binwise_svd(a, cfg.n_bins)
     smooth = anasvd.smooth_trajectories(bins)
-    forms = np.stack(
-        [np.array([f(w) for w in smooth.omegas]) for f in fixture.closed_forms]
-    )
+    forms = np.stack([f(smooth.omegas) for f in fixture.closed_forms])
     closed = anasvd.SvTrajectories(mode="smooth", omegas=smooth.omegas.copy(),
                                    values=forms)
     _write_traj(_traj_path(out, "ex1_closed_forms", cfg), closed, cfg)
@@ -343,11 +341,13 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
                        ("--N", "n_samples")):
         if getattr(ns, name) < 1:
             raise _UsageError(f"{flag} must be >= 1")
-    for flag, value in (("--sigma2-e", ns.sigma2_e), ("--sigma2-v", ns.sigma2_v)):
+    levels = [("--sigma2-e", ns.sigma2_e), ("--sigma2-v", ns.sigma2_v)]
+    levels += [("--sigma2-norm", v) for v in sigma2_norm or ()]
+    for flag, value in levels:
+        if value is not None and not np.isfinite(value):
+            raise _UsageError(f"{flag} must be finite")
         if value is not None and value < 0:
             raise _UsageError(f"{flag} must be >= 0")
-    if sigma2_norm is not None and any(v < 0 for v in sigma2_norm):
-        raise _UsageError("--sigma2-norm must be >= 0")
     return RunConfig(
         subcommand=ns.subcommand,
         seed=ns.seed,

@@ -47,11 +47,17 @@ def svd(a) -> SvdResult:
     return SvdResult(U=u, sigma=s, V=vh.conj().T)
 
 
-def svd_stack(mats: np.ndarray):
-    """SVD of a (K, M, L) stack; returns (U, sigma, V) stacks."""
+def svd_stack(mats: np.ndarray, vectors: bool = True):
+    """SVD of a (K, M, L) stack; returns (U, sigma, V) stacks.
+
+    With ``vectors=False`` only the singular values are computed and U and
+    V are returned as None.
+    """
     mats = np.asarray(mats, dtype=np.complex128)
     if not np.all(np.isfinite(mats)):
         raise ValueError("non-finite input")
+    if not vectors:
+        return None, np.linalg.svd(mats, compute_uv=False), None
     u, s, vh = np.linalg.svd(mats, full_matrices=True)
     return u, s, np.conj(np.swapaxes(vh, -1, -2))
 

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import i0e, i1e
 
 from . import anasvd, densela
 from .polymat import PolyMatrix
@@ -38,10 +36,14 @@ class PerturbConfig:
         if (self.sigma2_e is None) == (self.sigma2_norm is None):
             raise ValueError("set exactly one of sigma2_e and sigma2_norm")
         level = self.sigma2_e if self.sigma2_e is not None else self.sigma2_norm
+        if not np.isfinite(level):
+            raise ValueError("perturbation variance must be finite")
         if level < 0:
             raise ValueError("perturbation variance must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def perturb_and_analyze(
         rng = SeededRng(cfg.seed, stream=t).generator()
         err = _draw_error(sys, cfg, rng)
         a_hat = sys.A + err
-        bins = anasvd.binwise_svd(a_hat, cfg.n_bins)
+        bins = anasvd.binwise_svd(a_hat, cfg.n_bins, vectors=False)
         traj = anasvd.majorized_trajectories(bins)
         report = anasvd.diagnostics(traj)
         actual = 0.0 if sys.A.frob_energy() == 0 else normalized_variance(err, sys.A)
@@ -163,7 +165,11 @@ def bin_histogram_trials(
 
 
 def _rician_mean_factor(theta: float) -> float:
-    # E[X]/s for theta = nu/s, via exponentially scaled Bessel functions
+    # E[X]/s for theta = nu/s, via exponentially scaled Bessel functions;
+    # scipy is imported here, not at module level, so that only the Rician
+    # fit pays its import time
+    from scipy.special import i0e, i1e
+
     a = 0.25 * theta * theta
     return _SQRT_HALF_PI * ((1.0 + 2.0 * a) * i0e(a) + 2.0 * a * i1e(a))
 
@@ -181,6 +187,8 @@ def rician_fit(samples) -> RicianFit:
     the Rayleigh limit (4 - pi)/pi yield the degenerate nu = 0 fit with the
     mean matched and the variance mismatch reported in the residual.
     """
+    from scipy.optimize import brentq
+
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 100:
         raise ValueError("need at least 100 samples")

@@ -64,8 +64,8 @@ class GroundTruthSystem:
     sigmas: tuple
     V: PolyMatrix
     A: PolyMatrix
-    # independent per-track omega -> real value oracles, when the system
-    # has them (example1); None otherwise
+    # independent per-track oracles mapping an array of omegas to real
+    # values, when the system has them (example1); None otherwise
     closed_forms: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
 
@@ -148,7 +148,7 @@ def assemble(
     U: PolyMatrix,
     sigmas: Sequence[PolyMatrix],
     V: PolyMatrix,
-    closed_forms: Optional[Sequence[Callable[[float], float]]] = None,
+    closed_forms: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None,
     meta: Optional[dict] = None,
 ) -> GroundTruthSystem:
     """Build A = U diag(sigmas) V^P and verify the factor invariants.

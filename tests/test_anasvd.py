@@ -63,6 +63,20 @@ class TestBinwiseSvd:
         b = binwise_svd(PolyMatrix.zeros(2, 3), 8)
         assert np.abs(b.sigma).max() == 0.0
 
+    @pytest.mark.parametrize("make", [lambda: example1().A,
+                                      lambda: bigsys(SeededRng(1)).A])
+    def test_values_only(self, make):
+        a = make()
+        full = binwise_svd(a, 256)
+        bare = binwise_svd(a, 256, vectors=False)
+        assert bare.U is None and bare.V is None
+        assert np.array_equal(bare.omegas, full.omegas)
+        assert np.abs(bare.sigma - full.sigma).max() <= 1e-13 * full.sigma.max()
+
+    def test_smooth_needs_vectors(self):
+        with pytest.raises(ValueError, match="singular vectors"):
+            smooth_trajectories(binwise_svd(example1().A, 16, vectors=False))
+
     def test_results_match_eval(self):
         a = example1().A
         b = binwise_svd(a, 8)

@@ -140,6 +140,16 @@ class TestPerturb:
                     "--sigma2-e", "-1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--sigma2-norm", "--sigma2-e", "--sigma2-v"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_variance_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = run(["perturb", "--bins", "16", "--out", str(out), flag, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: {flag} must be finite\n"
+        assert not out.exists()
+
 
 class TestSysid:
     def test_report(self, tmp_path):

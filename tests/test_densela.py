@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polysvd import colspace_projector, smallest_sv, spectral_norm, svd
+from polysvd.densela import svd_stack
 from polysvd.sysgen import example1
 
 RNG = np.random.default_rng(77)
@@ -34,6 +35,13 @@ class TestSvd:
         a[0, 0] = np.inf
         with pytest.raises(ValueError):
             svd(a)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_stack_rejects_nonfinite(self, vectors):
+        mats = np.zeros((3, 2, 2), dtype=complex)
+        mats[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            svd_stack(mats, vectors=vectors)
 
     def test_invariants_random(self):
         # reconstruction, unitarity, descending order at 1e-12 for 100 draws

@@ -1,5 +1,10 @@
 """Perturbation draws, normalized variance, Rician fits, Stewart bounds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,6 +99,16 @@ class TestPerturbConfig:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             PerturbConfig(trials=0, sigma2_e=1e-4)
+
+    def test_bins_positive(self):
+        with pytest.raises(ValueError, match="n_bins"):
+            PerturbConfig(n_bins=0, sigma2_e=1e-4)
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["sigma2_e", "sigma2_norm"])
+    def test_level_finite(self, kind, level):
+        with pytest.raises(ValueError, match="finite"):
+            PerturbConfig(**{kind: level})
 
 
 class TestPerturbAndAnalyze:
@@ -239,3 +254,18 @@ class TestStewartBounds:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             stewart_bounds(np.eye(2), np.zeros((2, 2)), 2)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize/scipy.special cost most of the package import time and
+    # only the Rician fit needs them
+    import polysvd
+
+    src = str(Path(polysvd.__file__).resolve().parents[1])
+    code = ("import sys, polysvd; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

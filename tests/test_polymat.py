@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysvd import PolyMatrix
-from polysvd.sysgen import example1
+from polysvd.sysgen import SeededRng, bigsys, example1
 
 RNG = np.random.default_rng(20260808)
 
@@ -212,6 +214,48 @@ class TestEvalGrid:
         g = a.eval_grid(17)
         for k in range(17):
             assert np.abs(g[k] - a.eval(2 * np.pi * k / 17)).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_property(self, data):
+        # K on both sides of n_taps: below it the grid is the direct
+        # contraction itself, at or above it the FFT path
+        n_taps = data.draw(st.integers(1, 12), label="n_taps")
+        n_min = data.draw(st.integers(-8, 8), label="n_min")
+        n_bins = data.draw(
+            st.one_of(st.sampled_from([n_taps - 1, n_taps, n_taps + 1]),
+                      st.integers(1, 64)).filter(lambda k: k >= 1),
+            label="n_bins",
+        )
+        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), n_taps)
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        c = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        a = PolyMatrix(c, n_min)
+        g = a.eval_grid(n_bins)
+        direct = a._eval_many(2.0 * np.pi * np.arange(n_bins) / n_bins)
+        assert g.shape == (n_bins,) + shape[:2]
+        assert np.abs(g - direct).max() <= 1e-12 * (1.0 + np.abs(c).sum())
+        if n_bins >= n_taps:
+            # Parseval: no tap aliases, so the grid energy is the coefficient energy
+            grid_energy = np.sum(np.abs(g) ** 2) / n_bins
+            assert grid_energy == pytest.approx(a.frob_energy(), rel=1e-12)
+
+    def test_bigsys_k4096_matches_direct(self):
+        a = bigsys(SeededRng(1)).A
+        g = a.eval_grid(4096)
+        direct = a._eval_many(2.0 * np.pi * np.arange(4096) / 4096)
+        assert np.abs(g - direct).max() <= 1e-12 * (1.0 + np.abs(a.coeffs).sum())
+        for k in (0, 1, 1000, 2048, 4095):
+            assert np.abs(g[k] - a.eval(2 * np.pi * k / 4096)).max() < 1e-12
+
+    def test_offset_reduced_modulo_grid(self):
+        # z^{-n_min} on the grid depends on n_min mod K only; the phase is
+        # formed from that residue, so a huge offset gives the same bits
+        a = random_polymat(2, 2, 5, 3)
+        far = PolyMatrix(a.coeffs, 3 + 4096 * 2**40)
+        assert np.array_equal(far.eval_grid(4096), a.eval_grid(4096))
+        assert np.array_equal(a.shifted(-4096).eval_grid(4096), a.eval_grid(4096))
 
 
 class TestEnergy:
