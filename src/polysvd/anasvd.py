@@ -31,6 +31,9 @@ _SIGN_REF_REL_FLOOR = 1e-7
 # Greedy-match score margin below which the association is reported ambiguous.
 AMBIGUITY_MARGIN = 0.1
 
+# Bins per batched product in smooth association: bounds its temporaries.
+_BLOCK = 512
+
 
 class AssociationAmbiguous(UserWarning):
     """Smooth association could not clearly separate candidate matches.
@@ -63,6 +66,9 @@ class BinwiseSvd:
 
     def result(self, k: int) -> densela.SvdResult:
         """Materialize the k-th bin as a plain SvdResult."""
+        if self.U is None:
+            raise ValueError("bin results need the singular vectors "
+                             "(binwise_svd with vectors=True)")
         return densela.SvdResult(U=self.U[k], sigma=self.sigma[k], V=self.V[k])
 
 
@@ -75,7 +81,9 @@ class SvTrajectories:
     per track and bin, and U/V hold the phase-aligned singular vectors of
     each track (columns ordered by track).  wrap_permutation/wrap_signs
     report how the tracks would continue from the last bin back into bin 0;
-    wrap consistency is reported, never enforced.
+    wrap consistency is reported, never enforced.  ambiguous_bins lists, in
+    ascending order, the bins whose association was ambiguous (empty when
+    there are none).
     """
 
     mode: str  # "majorized" | "smooth"
@@ -87,6 +95,7 @@ class SvTrajectories:
     V: Optional[np.ndarray] = field(default=None, repr=False)  # (K, L, R)
     wrap_permutation: Optional[np.ndarray] = None
     wrap_signs: Optional[np.ndarray] = None
+    ambiguous_bins: Optional[np.ndarray] = None  # (n,) int
 
     @property
     def n_bins(self) -> int:
@@ -177,13 +186,10 @@ def _greedy_match(score: np.ndarray):
     return perm, ambiguous
 
 
-def _phase_aligned(g: np.ndarray, perm: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Columns perm of (u, v), each pair rotated by the unit phase that makes
-    its overlap g[m, perm[m]] with the previous left vector real positive."""
-    c = g[np.arange(perm.size), perm]
+def _unit(c: np.ndarray) -> np.ndarray:
+    """conj(c) / |c| elementwise, 1 where c is zero."""
     mag = np.abs(c)
-    phase = np.divide(c.conj(), mag, out=np.ones_like(c), where=mag > 0.0)
-    return u.take(perm, axis=1) * phase, v.take(perm, axis=1) * phase
+    return np.divide(c.conj(), mag, out=np.ones_like(c), where=mag > 0.0)
 
 
 def _flipped(v_ref: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -191,13 +197,137 @@ def _flipped(v_ref: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", v_ref.conj(), v).real < 0.0
 
 
+def _adjacent_matches(u: np.ndarray):
+    """_greedy_match's fast path applied to every pair of adjacent bins.
+
+    u is (K, M, R).  For k >= 1, with S_k = |u[k-1]^H u[k]|, returns the row
+    argmaxes a[k] of S_k, fast[k] telling whether they form a permutation
+    whose every pick beats the rest of its row by AMBIGUITY_MARGIN, and w[k],
+    the unit phase conj(d)/|d| of each picked overlap d.  Row 0 is unused.
+    The products run over blocks of _BLOCK bins to keep temporaries small.
+    """
+    k_bins, _, r = u.shape
+    a = np.zeros((k_bins, r), dtype=int)
+    w = np.ones((k_bins, r), dtype=np.complex128)
+    fast = np.zeros(k_bins, dtype=bool)
+    cols = np.arange(r)
+    for b0 in range(1, k_bins, _BLOCK):
+        b1 = min(b0 + _BLOCK, k_bins)
+        g = u[b0 - 1:b1 - 1].conj().transpose(0, 2, 1) @ u[b0:b1]
+        score = np.abs(g)
+        pick = score.argmax(axis=2)
+        best = np.take_along_axis(score, pick[..., None], axis=2)[..., 0]
+        np.put_along_axis(score, pick[..., None], -np.inf, axis=2)
+        clear = (best - score.max(axis=2)).min(axis=1) >= AMBIGUITY_MARGIN
+        is_perm = (np.sort(pick, axis=1) == cols).all(axis=1)
+        a[b0:b1] = pick
+        fast[b0:b1] = clear & is_perm
+        w[b0:b1] = _unit(np.take_along_axis(g, pick[..., None], axis=2)[..., 0])
+    return a, w, fast
+
+
+def _compose_run(perms, phases, a, w, s, e):
+    """Fill bins s+1 .. e-1, all on the fast path, from bin s.
+
+    perms[k] = a[k][perms[k-1]] is composed for the run by prefix doubling
+    (integer work only); phases[k] = phases[k-1] * w[k][perms[k-1]] is a
+    cumulative product.
+    """
+    if e - s < 2:
+        return
+    q = a[s + 1:e].copy()  # q[j]: column at bin s -> column at bin s+1+j
+    shift = 1
+    while shift < q.shape[0]:
+        q[shift:] = np.take_along_axis(q[shift:], q[:-shift], axis=1)
+        shift *= 2
+    perms[s + 1:e] = q[:, perms[s]]
+    steps = np.take_along_axis(w[s + 1:e], perms[s:e - 1], axis=1)
+    np.multiply(phases[s], np.cumprod(steps, axis=0, out=steps), out=phases[s + 1:e])
+
+
+def _track_signs(v: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Signs (K, R) of the phase-aligned right vectors v (K, L, R).
+
+    refresh marks the bins where a track refreshes its reference and last
+    holds the last refresh bin <= k (-1 for none).  A track's sign reference
+    at bin k is its last refresh bin r < k; the sign is s_r times the sign
+    of Re <v[r], v[k]>, and +1 when the track has no reference yet or that
+    inner product is exactly zero (a reset).  The refresh bins chain to
+    each other, so s_r is the parity of the negative steps along the chain
+    since its last reset: a cumulative count, exact.
+    """
+    k_bins, _, r = v.shape
+    x = np.zeros((k_bins, r))
+    for b0 in range(1, k_bins, _BLOCK):
+        b1 = min(b0 + _BLOCK, k_bins)
+        ref = np.maximum(last[b0 - 1:b1 - 1], 0)
+        v_ref = np.take_along_axis(v, ref[:, None, :], axis=0)
+        x[b0:b1] = np.einsum("kij,kij->kj", v_ref.conj(), v[b0:b1]).real
+    reset = x == 0.0  # bin 0 has no reference: x stays 0 there
+    reset[1:] |= last[:-1] < 0
+    negative = x < 0.0
+    # negative steps so far; the count is nondecreasing, so its value at the
+    # last reset is a running maximum
+    count = np.cumsum(refresh & ~reset & negative, axis=0)
+    base = np.where(refresh & reset, count, 0)
+    count -= np.maximum.accumulate(base, axis=0, out=base)
+    odd = np.zeros((k_bins, r), dtype=bool)  # the reference's sign is -1
+    odd[1:] = np.bitwise_and(count[:-1], 1)
+    return np.where(~reset & (negative ^ odd), -1.0, 1.0)
+
+
+def _associate(u: np.ndarray, r: int):
+    """Track permutations and unit phases from the left vectors u (K, M, M).
+
+    Returns (perms, phases, ambiguous, ref): per bin the column each track
+    takes and the phase that aligns it with the track's u_prev, the mask of
+    ambiguous bins and the last non-ambiguous bin.  Fast-path runs are
+    composed in bulk; the loop visits the bins failing the fast path and
+    each bin right after an ambiguous one, whose u_prev is older than its
+    neighbour.
+    """
+    k_bins = u.shape[0]
+    tracks = np.arange(r)
+    a, w, fast = _adjacent_matches(u[:, :, :r])
+    perms = np.empty((k_bins, r), dtype=int)
+    phases = np.empty((k_bins, r), dtype=np.complex128)
+    ambiguous = np.zeros(k_bins, dtype=bool)
+    perms[0] = tracks
+    phases[0] = 1.0
+    failing = np.flatnonzero(~fast[1:]) + 1
+    ref = done = 0  # ref: last non-ambiguous bin; done: last bin filled
+    while done < k_bins - 1:
+        if ambiguous[done]:
+            k = done + 1
+        else:
+            j = failing.searchsorted(done, side="right")
+            k = int(failing[j]) if j < failing.size else k_bins
+        _compose_run(perms, phases, a, w, done, k)
+        if k > done + 1:
+            ref = k - 1
+        if k == k_bins:
+            break
+        u_prev = u[ref][:, perms[ref]] * phases[ref]
+        g = u_prev.conj().T @ u[k][:, :r]
+        perm, ambiguous[k] = _greedy_match(np.abs(g))
+        if ambiguous[k]:
+            perm = perms[k - 1]
+        else:
+            ref = k
+        perms[k] = perm
+        phases[k] = _unit(g[tracks, perm])
+        done = k
+    return perms, phases, ambiguous, ref
+
+
 def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     """Associate bin-wise singular triples into continuous signed tracks.
 
-    Per bin k (sequentially from bin 0), for all tracks at once:
+    Per bin k, for all tracks at once, against the aligned left vectors
+    u_prev of the last non-ambiguous bin before k (bin 0 included):
 
-    1. match bin-k triples to the bin-(k-1) tracks greedily, in descending
-       order of the left-singular-vector overlap |<u_prev, u_cur>|;
+    1. match bin-k triples to the tracks greedily, in descending order of
+       the left-singular-vector overlap |<u_prev, u_cur>|;
     2. rotate (u_cur, v_cur) by the common unit phase that makes
        <u_prev, u_cur> real and positive;
     3. if Re <v_ref, v_cur> < 0 for the track's reference right vector,
@@ -212,6 +342,17 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     crossing.  Bins with ambiguous matches keep the previous permutation
     and refresh nothing; an AssociationAmbiguous warning summarizes them.
 
+    The steps run in batched stages.  The scores |U_{k-1}^H U_k| of all
+    adjacent bins come from blocked batched products; at a bin whose
+    previous bin is the reference and whose row argmaxes form a clear
+    permutation (the fast path of the greedy match), the permutation is
+    that argmax permutation composed with the previous one and the phase
+    is the previous phase times the unit phase of the picked overlap.  A
+    Python loop visits only the other bins, those failing that test and
+    each bin right after an ambiguous one, and runs the greedy match there
+    on the overlap with u_prev.  Signs follow from the refresh chain as a
+    cumulative product of +-1 (see _track_signs).
+
     The result is one representative of the sign/permutation equivalence
     class of the analytic singular values: per-track global sign and track
     order are not canonical.
@@ -221,54 +362,35 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
                          "(binwise_svd with vectors=True)")
     k_bins = bins.n_bins
     r = bins.n_tracks
-    signs = np.ones((r, k_bins))
-    perms = np.empty((k_bins, r), dtype=int)
-    u_al = np.empty((k_bins, bins.U.shape[1], r), dtype=np.complex128)
-    v_al = np.empty((k_bins, bins.V.shape[1], r), dtype=np.complex128)
-
-    perms[0] = np.arange(r)
-    u_al[0] = bins.U[0][:, :r]
-    v_al[0] = bins.V[0][:, :r]
-
-    smax = bins.sigma.max(axis=1)
-    floors = _SIGN_REF_REL_FLOOR * np.where(smax > 0, smax, 1.0)
-    u_prev = u_al[0]
-    v_ref = v_al[0].copy()
-    has_ref = bins.sigma[0] > floors[0]
-
-    ambiguous_bins = []
-    for k in range(1, k_bins):
-        g = u_prev.conj().T @ bins.U[k][:, :r]
-        perm, ambiguous = _greedy_match(np.abs(g))
-        if ambiguous:
-            ambiguous_bins.append(k)
-            perm = perms[k - 1]
-        perms[k] = perm
-        u, v = _phase_aligned(g, perm, bins.U[k], bins.V[k])
-        sign = np.where(has_ref, np.where(_flipped(v_ref, v), -1.0, 1.0),
-                        signs[:, k - 1])
-        v *= sign
-        signs[:, k] = sign
-        u_al[k] = u
-        v_al[k] = v
-        if not ambiguous:
-            u_prev = u
-            refresh = bins.sigma[k][perm] > floors[k]
-            np.copyto(v_ref, v, where=refresh)
-            has_ref |= refresh
-    values = signs * np.take_along_axis(bins.sigma, perms, axis=1).T
+    perms, phases, ambiguous, ref = _associate(bins.U, r)
+    u_al = np.take_along_axis(bins.U, perms[:, None, :], axis=2)
+    u_al *= phases[:, None, :]
+    v_al = np.take_along_axis(bins.V, perms[:, None, :], axis=2)
+    v_al *= phases[:, None, :]
+    sigma = np.take_along_axis(bins.sigma, perms, axis=1)
+    smax = bins.sigma.max(axis=1, keepdims=True)
+    refresh = ~ambiguous[:, None] & (sigma > _SIGN_REF_REL_FLOOR
+                                     * np.where(smax > 0, smax, 1.0))
+    last = np.maximum.accumulate(
+        np.where(refresh, np.arange(k_bins)[:, None], -1), axis=0)
+    signs = _track_signs(v_al, refresh, last)
+    v_al *= signs[:, None, :]
+    values = signs.T * sigma.T
 
     # wrap-around step: continue from the last bin back into bin 0
-    g = u_prev.conj().T @ bins.U[0][:, :r]
+    tracks = np.arange(r)
+    g = u_al[ref].conj().T @ bins.U[0][:, :r]
     wrap_perm, _ = _greedy_match(np.abs(g))
-    _, v = _phase_aligned(g, wrap_perm, bins.U[0], bins.V[0])
-    wrap_signs = np.where(has_ref & _flipped(v_ref, v), -1.0, 1.0)
+    v = bins.V[0][:, wrap_perm] * _unit(g[tracks, wrap_perm])
+    v_ref = v_al[np.maximum(last[-1], 0), :, tracks].T
+    wrap_signs = np.where((last[-1] >= 0) & _flipped(v_ref, v), -1.0, 1.0)
 
-    if ambiguous_bins:
+    ambiguous_bins = np.flatnonzero(ambiguous)
+    if ambiguous_bins.size:
         first = ambiguous_bins[0]
         warnings.warn(
             AssociationAmbiguous(
-                f"ambiguous track association at {len(ambiguous_bins)} of "
+                f"ambiguous track association at {ambiguous_bins.size} of "
                 f"{k_bins} bins (first at bin {first}, omega="
                 f"{bins.omegas[first]:.6f}); kept previous track order there"
             ),
@@ -280,11 +402,12 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
         omegas=bins.omegas.copy(),
         values=values,
         permutations=perms,
-        signs=signs,
+        signs=signs.T.copy(),
         U=u_al,
         V=v_al,
         wrap_permutation=wrap_perm,
         wrap_signs=wrap_signs,
+        ambiguous_bins=ambiguous_bins,
     )
 
 

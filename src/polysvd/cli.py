@@ -113,6 +113,12 @@ def _write_traj(path: Path, traj: anasvd.SvTrajectories, cfg: RunConfig,
         _write_json(path, payload, cfg)
 
 
+def _level_tag(kind: str, level: float) -> str:
+    """File-name tag of one perturbation level, e.g. s2n_0p01 or s2e_1em05."""
+    prefix = {"sigma2_norm": "s2n", "sigma2_e": "s2e"}[kind]
+    return prefix + "_" + f"{level:g}".replace(".", "p").replace("-", "m")
+
+
 def _align_to_forms(values: np.ndarray, forms: np.ndarray) -> float:
     """Max deviation of extracted tracks from reference forms, minimized
     over track permutation and per-track global sign."""
@@ -137,16 +143,21 @@ def _align_to_forms(values: np.ndarray, forms: np.ndarray) -> float:
 
 def cmd_ex1(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fixture = sysgen.example1()
     if cfg.fixture is not None:
-        a = PolyMatrix.from_json_dict(json.loads(Path(cfg.fixture).read_text()))
+        try:
+            a = PolyMatrix.from_json_dict(json.loads(Path(cfg.fixture).read_text()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"usage error: cannot read fixture {cfg.fixture}: {exc}",
+                  file=_sys.stderr)
+            return EXIT_USAGE
         if (a.rows, a.cols) != (fixture.A.rows, fixture.A.cols):
             print(f"usage error: fixture must be {fixture.A.rows}x"
                   f"{fixture.A.cols}", file=_sys.stderr)
             return EXIT_USAGE
     else:
         a = fixture.A
+    out.mkdir(parents=True, exist_ok=True)
     bins = anasvd.binwise_svd(a, cfg.n_bins)
     smooth = anasvd.smooth_trajectories(bins)
     forms = np.stack([f(smooth.omegas) for f in fixture.closed_forms])
@@ -157,7 +168,8 @@ def cmd_ex1(cfg: RunConfig) -> int:
     deviation = _align_to_forms(smooth.values, forms)
     _write_json(out / "ex1_summary.json",
                 {"max_deviation": deviation, "tolerance": EX1_TOL,
-                 "n_bins": cfg.n_bins}, cfg)
+                 "n_bins": cfg.n_bins,
+                 "n_ambiguous_bins": int(smooth.ambiguous_bins.size)}, cfg)
     if deviation > EX1_TOL:
         print(f"ex1: FAIL max deviation {deviation:.3e} > {EX1_TOL:.1e}",
               file=_sys.stderr)
@@ -168,24 +180,28 @@ def cmd_ex1(cfg: RunConfig) -> int:
 
 def cmd_hist(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_ = sysgen.example1()
     omega0 = float(np.pi)
     sigma2_e = cfg.sigma2_e if cfg.sigma2_e is not None else 1e-4
     rng = sysgen.SeededRng(cfg.seed, stream=0)
     samples = perturb.bin_histogram_trials(sys_, omega0, cfg.trials, sigma2_e, rng)
+    fits = []
+    for m in range(samples.shape[0]):
+        try:
+            fit = perturb.rician_fit(samples[m])
+        except ValueError as exc:
+            print(f"hist: cannot fit index {m + 1}: {exc}", file=_sys.stderr)
+            return EXIT_USAGE
+        fits.append({"index": m + 1, "nu": fit.nu, "s": fit.s,
+                     "residual": fit.residual, "n": fit.n_samples})
     rows = [
         (t, m + 1, float(samples[m, t]))
         for t in range(samples.shape[1])
         for m in range(samples.shape[0])
     ]
+    out.mkdir(parents=True, exist_ok=True)
     _write_table(out / f"hist_samples.{cfg.fmt}", ["trial", "index", "value"],
                  rows, cfg)
-    fits = []
-    for m in range(samples.shape[0]):
-        fit = perturb.rician_fit(samples[m])
-        fits.append({"index": m + 1, "nu": fit.nu, "s": fit.s,
-                     "residual": fit.residual, "n": fit.n_samples})
     _write_json(out / "hist_fits.json",
                 {"omega0": omega0, "sigma2_e": sigma2_e, "fits": fits,
                  "sample_min": [float(samples[m].min())
@@ -214,11 +230,11 @@ def cmd_perturb(cfg: RunConfig) -> int:
             error_order=cfg.order, **{kind: level},
         )
         results, traj = perturb.perturb_and_analyze(sys_, pcfg)
-        tag = f"{level:g}".replace(".", "p").replace("-", "m")
-        _write_traj(_traj_path(out, f"perturb_traj_s2n_{tag}", cfg), traj, cfg,
+        tag = _level_tag(kind, level)
+        _write_traj(_traj_path(out, f"perturb_traj_{tag}", cfg), traj, cfg,
                     extra={"ref": refs})
         _write_json(
-            out / f"perturb_diag_s2n_{tag}.json",
+            out / f"perturb_diag_{tag}.json",
             {
                 kind: level,
                 "trials": [
@@ -341,13 +357,22 @@ def _to_config(ns: argparse.Namespace) -> RunConfig:
                        ("--N", "n_samples")):
         if getattr(ns, name) < 1:
             raise _UsageError(f"{flag} must be >= 1")
-    levels = [("--sigma2-e", ns.sigma2_e), ("--sigma2-v", ns.sigma2_v)]
-    levels += [("--sigma2-norm", v) for v in sigma2_norm or ()]
-    for flag, value in levels:
+    nonnegative = [("--seed", ns.seed), ("--order", ns.order),
+                   ("--sigma2-e", ns.sigma2_e), ("--sigma2-v", ns.sigma2_v)]
+    nonnegative += [("--sigma2-norm", v) for v in sigma2_norm or ()]
+    for flag, value in nonnegative:
         if value is not None and not np.isfinite(value):
             raise _UsageError(f"{flag} must be finite")
         if value is not None and value < 0:
             raise _UsageError(f"{flag} must be >= 0")
+    if ns.subcommand == "perturb" and sigma2_norm is not None:
+        seen = {}
+        for level in sigma2_norm:
+            tag = _level_tag("sigma2_norm", level)
+            if tag in seen:
+                raise _UsageError(f"--sigma2-norm {seen[tag]!r} and {level!r} "
+                                  f"share the output file tag {tag}")
+            seen[tag] = level
     return RunConfig(
         subcommand=ns.subcommand,
         seed=ns.seed,

@@ -77,6 +77,10 @@ class TestBinwiseSvd:
         with pytest.raises(ValueError, match="singular vectors"):
             smooth_trajectories(binwise_svd(example1().A, 16, vectors=False))
 
+    def test_result_needs_vectors(self):
+        with pytest.raises(ValueError, match="singular vectors"):
+            binwise_svd(example1().A, 16, vectors=False).result(3)
+
     def test_results_match_eval(self):
         a = example1().A
         b = binwise_svd(a, 8)
@@ -190,8 +194,17 @@ class TestSmooth:
     def test_ambiguity_warning_on_coarse_grid(self):
         # order-12 factors on an 8-bin grid rotate too fast between bins
         q = random_paraunitary(2, 12, SeededRng(0))
-        with pytest.warns(AssociationAmbiguous):
-            smooth_trajectories(binwise_svd(q, 8))
+        with pytest.warns(AssociationAmbiguous) as caught:
+            sm = smooth_trajectories(binwise_svd(q, 8))
+        n = sm.ambiguous_bins.size
+        assert n > 0
+        assert f"at {n} of 8 bins (first at bin {sm.ambiguous_bins[0]}," in str(
+            caught[0].message)
+
+    def test_no_ambiguous_bins_is_empty(self):
+        sm = smooth_trajectories(binwise_svd(example1().A, 256))
+        assert sm.ambiguous_bins.shape == (0,)
+        assert sm.ambiguous_bins.dtype.kind == "i"
 
     def test_wrap_reported(self):
         sm = smooth_trajectories(binwise_svd(example1().A, 256))
@@ -281,6 +294,125 @@ class TestSmoothBigsys:
     def test_coarse_grid_ambiguous(self, seed):
         with pytest.warns(AssociationAmbiguous):
             smooth_trajectories(binwise_svd(bigsys(SeededRng(seed)).A, 4))
+
+
+def per_bin_smooth(bins):
+    """Reference association: the per-bin loop the batched stages replace.
+
+    Returns (perms, signs, values, U, V, wrap_perm, wrap_signs, ambiguous
+    bins, warning messages), with the greedy match done by `eliminate`.
+    """
+    k_bins = bins.n_bins
+    r = bins.n_tracks
+
+    def aligned(g, perm, u, v):
+        c = g[np.arange(r), perm]
+        mag = np.abs(c)
+        phase = np.divide(c.conj(), mag, out=np.ones_like(c), where=mag > 0.0)
+        return u.take(perm, axis=1) * phase, v.take(perm, axis=1) * phase
+
+    def flipped(v_ref, v):
+        return np.einsum("ij,ij->j", v_ref.conj(), v).real < 0.0
+
+    signs = np.ones((r, k_bins))
+    perms = np.empty((k_bins, r), dtype=int)
+    u_al = np.empty((k_bins, bins.U.shape[1], r), dtype=np.complex128)
+    v_al = np.empty((k_bins, bins.V.shape[1], r), dtype=np.complex128)
+    perms[0] = np.arange(r)
+    u_al[0] = bins.U[0][:, :r]
+    v_al[0] = bins.V[0][:, :r]
+    smax = bins.sigma.max(axis=1)
+    floors = 1e-7 * np.where(smax > 0, smax, 1.0)
+    u_prev = u_al[0]
+    v_ref = v_al[0].copy()
+    has_ref = bins.sigma[0] > floors[0]
+    ambiguous_bins = []
+    for k in range(1, k_bins):
+        g = u_prev.conj().T @ bins.U[k][:, :r]
+        perm, ambiguous = eliminate(np.abs(g))
+        if ambiguous:
+            ambiguous_bins.append(k)
+            perm = perms[k - 1]
+        perms[k] = perm
+        u, v = aligned(g, perm, bins.U[k], bins.V[k])
+        sign = np.where(has_ref, np.where(flipped(v_ref, v), -1.0, 1.0),
+                        signs[:, k - 1])
+        v *= sign
+        signs[:, k] = sign
+        u_al[k] = u
+        v_al[k] = v
+        if not ambiguous:
+            u_prev = u
+            refresh = bins.sigma[k][perm] > floors[k]
+            np.copyto(v_ref, v, where=refresh)
+            has_ref |= refresh
+    values = signs * np.take_along_axis(bins.sigma, perms, axis=1).T
+    g = u_prev.conj().T @ bins.U[0][:, :r]
+    wrap_perm, _ = eliminate(np.abs(g))
+    _, v = aligned(g, wrap_perm, bins.U[0], bins.V[0])
+    wrap_signs = np.where(has_ref & flipped(v_ref, v), -1.0, 1.0)
+    messages = []
+    if ambiguous_bins:
+        first = ambiguous_bins[0]
+        messages.append(
+            f"ambiguous track association at {len(ambiguous_bins)} of "
+            f"{k_bins} bins (first at bin {first}, omega="
+            f"{bins.omegas[first]:.6f}); kept previous track order there")
+    return (perms, signs, values, u_al, v_al, wrap_perm, wrap_signs,
+            ambiguous_bins, messages)
+
+
+def equivalence_systems():
+    rng = np.random.default_rng(2718)
+    for m, l in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 4), (5, 3), (6, 6)]:
+        taps = int(rng.integers(2, 5))
+        c = rng.standard_normal((m, l, taps)) + 1j * rng.standard_normal((m, l, taps))
+        yield f"random{m}x{l}", PolyMatrix(c, -1)
+    yield "example1", example1().A
+    c = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    c[:, 2] = 0.0  # sigma_3 is identically zero
+    yield "zero_sigma", PolyMatrix(c, -1)
+    yield "paraunitary", random_paraunitary(3, 4, SeededRng(5))
+    # at K = 4 its phase turns by pi, then by pi/2: overlaps exactly < 0, then 0
+    yield "quarter_turns", PolyMatrix(np.fft.ifft([1, -1, -1j, 1j]).reshape(1, 1, 4), 0)
+    yield "bigsys", bigsys(SeededRng(1)).A
+
+
+EQUIVALENCE_SYSTEMS = dict(equivalence_systems())
+
+
+class TestSmoothEquivalence:
+    """The batched association gives the per-bin loop's tracks exactly."""
+
+    @pytest.mark.parametrize("name", list(EQUIVALENCE_SYSTEMS))
+    @pytest.mark.parametrize("n_bins", [1, 2, 4, 8, 16, 1024])
+    def test_matches_per_bin_loop(self, name, n_bins):
+        b = binwise_svd(EQUIVALENCE_SYSTEMS[name], n_bins)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sm = smooth_trajectories(b)
+        (perms, signs, values, u_al, v_al, wrap_perm, wrap_signs,
+         ambiguous_bins, messages) = per_bin_smooth(b)
+        assert np.array_equal(sm.permutations, perms)
+        assert np.array_equal(sm.signs, signs)
+        assert np.array_equal(sm.values, values)
+        assert np.array_equal(sm.wrap_permutation, wrap_perm)
+        assert np.array_equal(sm.wrap_signs, wrap_signs)
+        assert sm.ambiguous_bins.dtype.kind == "i"
+        assert sm.ambiguous_bins.tolist() == ambiguous_bins
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, AssociationAmbiguous)] == messages
+        assert np.abs(sm.U - u_al).max() <= 1e-12
+        assert np.abs(sm.V - v_al).max() <= 1e-12
+
+    def test_exercises_ambiguous_and_zero_paths(self):
+        # the inputs above reach the exceptional-bin loop and the refresh floor
+        amb = per_bin_smooth(binwise_svd(random_paraunitary(3, 4, SeededRng(5)),
+                                         1024))[7]
+        assert 0 < len(amb) < 1023
+        assert any(b - a > 1 for a, b in zip(amb, amb[1:]))
+        ex1 = binwise_svd(example1().A, 1024)
+        assert ex1.sigma[[0, 512], 1].max() < 1e-7 * ex1.sigma.max()
 
 
 class TestDiagnostics:

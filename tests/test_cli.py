@@ -42,6 +42,25 @@ class TestEx1:
                     "--fixture", str(fx)])
         assert code == EXIT_TOLERANCE
 
+    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"])
+    def test_unreadable_fixture(self, tmp_path, capsys, content):
+        fx = tmp_path / "fixture.json"
+        if content is not None:
+            fx.write_text(content)
+        out = tmp_path / "o"
+        code = run(["ex1", "--bins", "16", "--out", str(out), "--fixture", str(fx)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot read fixture {fx}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_summary_counts_ambiguous_bins(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["ex1", "--bins", "256", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "ex1_summary.json").read_text())
+        assert summary["n_ambiguous_bins"] == 0
+
     def test_clean_fixture_passes(self, tmp_path):
         fx = tmp_path / "fixture.json"
         fx.write_text(json.dumps(example1().A.to_json_dict()))
@@ -68,6 +87,14 @@ class TestHist:
         first = (out / "hist_samples.csv").read_bytes()
         run(["hist", "--trials", "200", "--out", str(out), "--seed", "7"])
         assert (out / "hist_samples.csv").read_bytes() == first
+
+    def test_degenerate_samples(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["hist", "--trials", "200", "--out", str(out), "--sigma2-e", "0"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "hist: cannot fit index 1: degenerate samples: no spread to fit\n"
+        assert not out.exists()
 
     def test_trials_floor(self, tmp_path):
         assert run(["hist", "--trials", "10", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -126,9 +153,21 @@ class TestPerturb:
         code = run(["perturb", "--bins", "64", "--trials", "1", "--out", str(out),
                     "--sigma2-e", "1e-4"])
         assert code == EXIT_OK
-        diag = json.loads((out / "perturb_diag_s2n_0p0001.json").read_text())
+        diag = json.loads((out / "perturb_diag_s2e_0p0001.json").read_text())
         assert diag["sigma2_e"] == 1e-4
         assert diag["trials"][0]["sigma2_norm_actual"] > 0.0
+        assert (out / "perturb_traj_s2e_0p0001.csv").exists()
+        assert not list(out.glob("*s2n*"))
+
+    def test_colliding_level_tags_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["perturb", "--bins", "16", "--out", str(out),
+                    "--sigma2-norm", "0.123456781", "--sigma2-norm", "0.123456782"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --sigma2-norm 0.123456781 and 0.123456782 share the "
+            "output file tag s2n_0p123457\n")
+        assert not out.exists()
 
     def test_conflicting_variance_flags(self, tmp_path):
         code = run(["perturb", "--out", str(tmp_path), "--sigma2-e", "1e-4",
@@ -179,6 +218,15 @@ class TestUsage:
 
     def test_bad_bins(self, tmp_path):
         assert run(["ex1", "--bins", "0", "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--seed", "--order"])
+    @pytest.mark.parametrize("command", ["perturb", "sysid"])
+    def test_negative_seed_or_order(self, tmp_path, capsys, flag, command):
+        out = tmp_path / "o"
+        code = run([command, "--bins", "16", "--out", str(out), flag, "-1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {flag} must be >= 0\n"
+        assert not out.exists()
 
     def test_metadata_echoes_config(self, tmp_path):
         out = tmp_path / "o"
