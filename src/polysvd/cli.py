@@ -260,13 +260,18 @@ def cmd_perturb(cfg: RunConfig) -> int:
 
 def cmd_sysid(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_ = sysgen.example1()
     a_causal, delay = sysid.causal_version(sys_.A)
     j_hat = cfg.order if cfg.order is not None else a_causal.order
-    frame = sysid.simulate(sys_, cfg.n_samples, cfg.sigma2_v,
-                           sysgen.SeededRng(cfg.seed, stream=0))
-    est = sysid.wiener_estimate(frame, j_hat)
+    try:
+        frame = sysid.simulate(sys_, cfg.n_samples, cfg.sigma2_v,
+                               sysgen.SeededRng(cfg.seed, stream=0))
+        est = sysid.wiener_estimate(frame, j_hat)
+    except ValueError as exc:
+        print(f"usage error: sysid --N {cfg.n_samples} --order {j_hat}: {exc}",
+              file=_sys.stderr)
+        return EXIT_USAGE
+    out.mkdir(parents=True, exist_ok=True)
     err = sysid.error_system(est, sys_)
     report = sysid.mse_decomposition(frame, est, sys_)
     sigma2_norm = perturb.normalized_variance(err, sys_.A)
@@ -282,6 +287,8 @@ def cmd_sysid(cfg: RunConfig) -> int:
             "noise_floor": report.noise_floor,
             "decomposition_gap": report.decomposition_gap,
             "sigma2_norm": sigma2_norm,
+            "regularization": est.regularization,
+            "condition": est.condition,
         },
         cfg,
     )
@@ -291,7 +298,7 @@ def cmd_sysid(cfg: RunConfig) -> int:
     )
     print(f"sysid: N={cfg.n_samples} xi_mse={report.xi_mse:.5g} "
           f"error_energy={report.error_energy:.5g} "
-          f"gap={report.decomposition_gap:.3g}")
+          f"gap={report.decomposition_gap:.3g} cond={est.condition:.3g}")
     return EXIT_OK
 
 

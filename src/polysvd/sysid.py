@@ -1,7 +1,8 @@
 """FIR MIMO system identification by the least-squares (Wiener) solution.
 
 Excite a ground-truth system with white unit-variance sources, observe
-noisy outputs, solve the sample normal equations over stacked regressors,
+noisy outputs, solve the sample normal equations over stacked regressors
+(block Toeplitz up to edge terms, so they are built from lag products),
 and decompose the resulting mean square error into coefficient-error
 energy plus the noise floor.
 """
@@ -9,6 +10,7 @@ energy plus the noise floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,11 +30,17 @@ class SignalFrame:
 
 @dataclass(frozen=True)
 class WienerEstimate:
-    """Causal FIR estimate with taps 0..J_hat."""
+    """Causal FIR estimate with taps 0..J_hat.
+
+    condition is lambda_max / lambda_min of the regularized normal matrix
+    R_xx + regularization I (inf if it is not positive definite), or None
+    for an estimate that did not come from the normal equations.
+    """
 
     A_hat: PolyMatrix
     J_hat: int
     regularization: float
+    condition: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,8 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     """
     a_causal, _ = causal_version(sys.A)
     if n_samples <= a_causal.order:
-        raise ValueError("n_samples must exceed the system order")
+        raise ValueError(f"n_samples = {n_samples} must exceed the system "
+                         f"order {a_causal.order}")
     g = as_generator(rng)
     x = complex_normal(g, (a_causal.cols, n_samples), 1.0)
     y = _convolve(a_causal, x)
@@ -84,41 +93,61 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v), n_samples=n_samples)
 
 
-_BLOCK = 8192
-
-
 def _stacked_correlations(frame: SignalFrame, j_hat: int):
-    """Sample R_xx and R_yx over regressors [x[n]; ...; x[n - J]].
+    """Sample R_xx and R_yx over regressors [x[n]; ...; x[n - J]], n >= J.
 
-    The first j_hat samples (filter transient) are excluded.  Accumulation
-    runs in blocks so memory stays bounded for large N.
+    The first j_hat samples (filter transient) are excluded, so the sums run
+    over count = N - J regressors.  The first block row of R_xx and all of
+    R_yx come from J + 1 lag products [x[n]; y[n]] x[n - j]^H, one
+    (L + M) x count by count x L product per lag j.  Shifting the sum by one
+    sample gives the exact edge recursion
+
+        R[i, j] = R[i-1, j-1] + x[J-i] x[J-j]^H - x[N-i] x[N-j]^H,
+
+    which fills the upper block triangle one row of blocks at a time; the
+    lower block triangle is its Hermitian mirror.  The stack of shifted
+    regressors is never formed, so memory stays O((L + M) N), the size of
+    the frame.  Raises ValueError when count < d = (J + 1) L, where R_xx is
+    singular.
     """
     x, y = frame.x, frame.y
-    n_src = x.shape[0]
+    n_src, n_out = x.shape[0], y.shape[0]
     n = frame.n_samples
     d = (j_hat + 1) * n_src
-    if n - j_hat < 1:
-        raise ValueError("not enough samples for the requested order")
-    r_xx = np.zeros((d, d), dtype=np.complex128)
-    r_yx = np.zeros((y.shape[0], d), dtype=np.complex128)
     count = n - j_hat
-    for start in range(j_hat, n, _BLOCK):
-        end = min(n, start + _BLOCK)
-        blk = np.empty((d, end - start), dtype=np.complex128)
-        for j in range(j_hat + 1):
-            blk[j * n_src : (j + 1) * n_src] = x[:, start - j : end - j]
-        r_xx += blk @ blk.conj().T
-        r_yx += y[:, start:end] @ blk.conj().T
-    return r_xx / count, r_yx / count
+    if count < d:
+        raise ValueError(f"n_samples - j_hat = {count} is below the regressor "
+                         f"dimension d = {d}")
+    xc = x.conj()
+    z = np.concatenate([x[:, j_hat:], y[:, j_hat:]])
+    # r[i, :, j] is block R[i, j] of R_xx, r_yx[:, j] the lag-j block of R_yx
+    r = np.empty((j_hat + 1, n_src, j_hat + 1, n_src), dtype=np.complex128)
+    r_yx = np.empty((n_out, j_hat + 1, n_src), dtype=np.complex128)
+    for j in range(j_hat + 1):
+        lag = z @ xc[:, j_hat - j : n - j].T
+        r[0, :, j] = lag[:n_src]
+        r_yx[:, j] = lag[n_src:]
+    for i in range(1, j_hat + 1):
+        head = x[:, : j_hat - i + 1][:, ::-1]  # x[J - j], j = i..J
+        tail = x[:, n - j_hat : n - i + 1][:, ::-1]  # x[N - j], j = i..J
+        r[i, :, i:] = (r[i - 1, :, i - 1 : j_hat]
+                       + head[:, :1, None] * head.conj().T
+                       - tail[:, :1, None] * tail.conj().T)
+        r[i, :, :i] = r[:i, :, i].conj().transpose(2, 0, 1)
+    return r.reshape(d, d) / count, r_yx.reshape(n_out, d) / count
 
 
 def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> WienerEstimate:
     """Least-squares FIR estimate from the sample normal equations.
 
-    Solves A_hat = R_yx (R_xx + reg I)^{-1} over the stacked regressors.
-    reg = None applies the numerical floor 1e-10 tr(R_xx)/D (D the stacked
-    dimension); reg = 0 solves unregularized and raises numpy.linalg's
-    LinAlgError on rank-deficient data.
+    Solves A_hat = R_yx (R_xx + reg I)^{-1} over the stacked regressors,
+    with R_xx and R_yx from the lag products and edge recursion of
+    _stacked_correlations.  reg = None applies the numerical floor
+    1e-10 tr(R_xx)/D (D the stacked dimension); reg = 0 solves
+    unregularized and raises numpy.linalg's LinAlgError on rank-deficient
+    data.  Raises ValueError when the record holds fewer than D
+    post-transient samples (N - J_hat < D).  The estimate carries the
+    condition number of R_xx + reg I, from its eigenvalues.
     """
     if j_hat < 0:
         raise ValueError("j_hat must be >= 0")
@@ -128,6 +157,8 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     if reg is None:
         reg = 1e-10 * float(np.real(np.trace(r_xx))) / d
     lhs = r_xx + reg * np.eye(d)
+    lam = np.linalg.eigvalsh(lhs)
+    condition = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
     # R_xx is Hermitian, so solving lhs^T Z = R_yx^T gives Z^T = A_hat
     a_flat = np.linalg.solve(lhs.T, r_yx.T).T
     taps = a_flat.reshape(r_yx.shape[0], j_hat + 1, n_src)
@@ -135,6 +166,7 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
         A_hat=PolyMatrix(np.moveaxis(taps, 1, 2), 0),
         J_hat=j_hat,
         regularization=float(reg),
+        condition=condition,
     )
 
 

@@ -200,6 +200,8 @@ class TestSysid:
         assert rep["N"] == 20000
         assert rep["J_hat"] == 2
         assert rep["decomposition_gap"] / rep["xi_mse"] <= 0.1
+        assert 1.0 <= rep["condition"] < 1.5
+        assert rep["regularization"] > 0.0
         err = json.loads((out / "sysid_error_system.json").read_text())
         assert err["M"] == 2 and err["L"] == 2
 
@@ -210,6 +212,22 @@ class TestSysid:
         assert code == EXIT_OK
         rep = json.loads((out / "sysid_report.json").read_text())
         assert rep["error_energy"] <= 1e-6 * example1().A.frob_energy()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--N", "2"], "n_samples = 2 must exceed the system order 2"),
+        (["--N", "3"], "n_samples - j_hat = 1 is below the regressor dimension d = 6"),
+        (["--N", "7"], "n_samples - j_hat = 5 is below the regressor dimension d = 6"),
+        (["--order", "60", "--N", "50"],
+         "n_samples - j_hat = -10 is below the regressor dimension d = 122"),
+    ])
+    def test_record_too_short(self, tmp_path, capsys, args, message):
+        out = tmp_path / "o"
+        code = run(["sysid", "--out", str(out), *args])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.endswith(message + "\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestUsage:

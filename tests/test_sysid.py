@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysvd import (
     PolyMatrix,
     SeededRng,
+    bigsys,
     causal_version,
     error_system,
     example1,
@@ -14,6 +17,7 @@ from polysvd import (
     wiener_estimate,
 )
 from polysvd.sysgen import GroundTruthSystem
+from polysvd.sysid import SignalFrame, _stacked_correlations
 
 
 def system_from(a: PolyMatrix) -> GroundTruthSystem:
@@ -54,8 +58,54 @@ class TestSimulate:
         assert np.abs(var - 1.0).max() < 0.02
 
     def test_requires_enough_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_samples = 2 .* order 2"):
             simulate(example1(), 2, 0.0, SeededRng(3))
+
+
+def stacked_gram(frame, j_hat):
+    """The former stacked-Gram construction: R_xx as the Gram matrix of the
+    stack of shifted regressors [x[n]; ...; x[n - J]], n >= J."""
+    x, y, n = frame.x, frame.y, frame.n_samples
+    blk = np.concatenate([x[:, j_hat - j : n - j] for j in range(j_hat + 1)])
+    count = n - j_hat
+    return blk @ blk.conj().T / count, y[:, j_hat:] @ blk.conj().T / count
+
+
+class TestStackedCorrelations:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_stacked_gram_property(self, data):
+        # the lag products and the edge recursion against the Gram matrix of
+        # the explicit stack, from the shortest record (count = d) upwards
+        n_src = data.draw(st.integers(1, 4), label="L")
+        n_out = data.draw(st.integers(1, 4), label="M")
+        j_hat = data.draw(st.integers(0, 6), label="J")
+        d = (j_hat + 1) * n_src
+        count = data.draw(st.one_of(st.integers(d, d + 40), st.just(2000)),
+                          label="count")
+        n = count + j_hat
+        sx = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="x scale")
+        sy = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="y scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = sx * (rng.standard_normal((n_src, n)) + 1j * rng.standard_normal((n_src, n)))
+        y = sy * (rng.standard_normal((n_out, n)) + 1j * rng.standard_normal((n_out, n)))
+        frame = SignalFrame(x=x, y=y, sigma2_v=0.0, n_samples=n)
+        r_xx, r_yx = _stacked_correlations(frame, j_hat)
+        ref_xx, ref_yx = stacked_gram(frame, j_hat)
+        ax, ay = np.abs(x).max(), np.abs(y).max()
+        bound = 1e-13 * (1.0 + ax * max(ax, ay))
+        assert r_xx.shape == (d, d) and r_yx.shape == (n_out, d)
+        assert np.abs(r_xx - ref_xx).max() <= bound
+        assert np.abs(r_yx - ref_yx).max() <= bound
+
+    def test_bigsys_frame_matches_stacked_gram(self):
+        sys = bigsys(SeededRng(1))
+        frame = simulate(sys, 5000, 0.01, SeededRng(1, stream=1))
+        j_hat = causal_version(sys.A)[0].order
+        r_xx, r_yx = _stacked_correlations(frame, j_hat)
+        ref_xx, ref_yx = stacked_gram(frame, j_hat)
+        assert np.abs(r_xx - ref_xx).max() <= 1e-14
+        assert np.abs(r_yx - ref_yx).max() <= 1e-14
 
 
 class TestWienerEstimate:
@@ -109,6 +159,28 @@ class TestWienerEstimate:
             frame, WienerEstimate(A_hat=truth, J_hat=2, regularization=0.0), sys
         ).xi_mse
         assert xi_est <= xi_truth + 1e-12
+
+    @pytest.mark.parametrize("j_hat", [1, 2, 10])
+    def test_rejects_record_shorter_than_dimension(self, j_hat):
+        d = (j_hat + 1) * 2
+        frame = simulate(example1(), j_hat + d - 1, 0.01, SeededRng(13))
+        with pytest.raises(ValueError, match=f"= {d - 1} .* d = {d}$"):
+            wiener_estimate(frame, j_hat)
+        frame = simulate(example1(), j_hat + d, 0.01, SeededRng(13))
+        assert wiener_estimate(frame, j_hat).A_hat.n_taps == j_hat + 1
+
+    def test_condition_white_sources(self):
+        frame = simulate(example1(), 100000, 0.01, SeededRng(14))
+        est = wiener_estimate(frame, 2)
+        assert 1.0 <= est.condition < 1.5
+        assert est.regularization > 0.0
+
+    def test_condition_shortest_record(self):
+        # count = d: the sample R_xx is the Gram matrix of a square random
+        # matrix, whose smallest eigenvalue is O(1/d^2)
+        j_hat = 10
+        frame = simulate(example1(), j_hat + 2 * (j_hat + 1), 0.01, SeededRng(14))
+        assert wiener_estimate(frame, j_hat).condition > 100.0
 
     def test_error_energy_shrinks_with_n(self):
         sys = example1()
