@@ -14,9 +14,9 @@ from .anasvd import (
     SvTrajectories,
     binwise_svd,
     diagnostics,
-    interp_linear,
     majorized_trajectories,
     smooth_trajectories,
+    track_deviation,
 )
 from .sysgen import (
     GroundTruthSystem,
@@ -67,9 +67,9 @@ __all__ = [
     "SvTrajectories",
     "binwise_svd",
     "diagnostics",
-    "interp_linear",
     "majorized_trajectories",
     "smooth_trajectories",
+    "track_deviation",
     "GroundTruthSystem",
     "SeededRng",
     "assemble",

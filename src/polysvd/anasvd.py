@@ -13,7 +13,7 @@ the minimum track gap and the minimum smallest value over the grid.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -112,17 +112,14 @@ class DiagnosticsReport:
 
     min_gap is the minimum over bins and adjacent track pairs of
     values[m] - values[m+1]; min_smallest is the minimum of the last track.
-    Both carry the frequency at which they occur.  gap_curves keeps the
-    per-pair gap curves for plotting.  min_gap is None for single-track
-    systems.
+    Both carry the frequency at which they occur.  min_gap is None for
+    single-track systems.
     """
 
     min_gap: Optional[float]
     omega_min_gap: Optional[float]
     min_smallest: float
     omega_min_smallest: float
-    gap_curves: np.ndarray  # (R-1, K)
-    omegas: np.ndarray
 
 
 def binwise_svd(a: PolyMatrix, n_bins: int, vectors: bool = True) -> BinwiseSvd:
@@ -420,40 +417,37 @@ def diagnostics(traj: SvTrajectories) -> DiagnosticsReport:
     if traj.mode != "majorized":
         raise ValueError("diagnostics require majorized-mode trajectories")
     vals = traj.values
-    r, _ = vals.shape
-    last = vals[r - 1]
+    last = vals[-1]
     k_small = int(np.argmin(last))
-    if r >= 2:
+    min_gap = omega_gap = None
+    if vals.shape[0] >= 2:
         gaps = vals[:-1] - vals[1:]
         flat = int(np.argmin(gaps))
         _, k_gap = np.unravel_index(flat, gaps.shape)
         min_gap = float(gaps.reshape(-1)[flat])
         omega_gap = float(traj.omegas[k_gap])
-    else:
-        gaps = np.empty((0, vals.shape[1]))
-        min_gap = None
-        omega_gap = None
     return DiagnosticsReport(
         min_gap=min_gap,
         omega_min_gap=omega_gap,
         min_smallest=float(last[k_small]),
         omega_min_smallest=float(traj.omegas[k_small]),
-        gap_curves=gaps,
-        omegas=traj.omegas.copy(),
     )
 
 
-def interp_linear(traj: SvTrajectories, omega: float) -> np.ndarray:
-    """Per-track linear interpolation between neighboring bins, 2 pi wrapped."""
-    k_bins = traj.n_bins
-    pos = (float(omega) % (2.0 * np.pi)) * k_bins / (2.0 * np.pi)
-    near = round(pos)
-    if abs(pos - near) < 1e-9:
-        return traj.values[:, int(near) % k_bins].copy()
-    k0 = int(np.floor(pos)) % k_bins
-    k1 = (k0 + 1) % k_bins
-    frac = pos - np.floor(pos)
-    return (1.0 - frac) * traj.values[:, k0] + frac * traj.values[:, k1]
+def track_deviation(values: np.ndarray, reference: np.ndarray) -> float:
+    """Max deviation of tracks from reference tracks, both (R, K), minimized
+    over track permutation and per-track global sign.
+
+    cost[p, m] is the smaller sup deviation of track p or of its negation
+    from reference m; the result is the minimum over permutations of the
+    largest cost[perm[m], m].
+    """
+    v = np.asarray(values)[:, None, :]
+    f = np.asarray(reference)[None, :, :]
+    cost = np.minimum(np.abs(v - f).max(axis=2), np.abs(v + f).max(axis=2))
+    r = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(r))))
+    return float(cost[perms, np.arange(r)].max(axis=1).min())
 
 
 def write_trajectory_csv(traj: SvTrajectories, fh, extra: Optional[dict] = None,
@@ -463,19 +457,13 @@ def write_trajectory_csv(traj: SvTrajectories, fh, extra: Optional[dict] = None,
     ``extra`` maps column names to (R_extra, K) arrays appended between the
     tracks and the mode column; ``meta_line`` is emitted verbatim first.
     """
-    w = csv.writer(fh, lineterminator="\n")
-    if meta_line is not None:
-        fh.write(meta_line + "\n")
-    header = ["omega"] + [f"track_{m + 1}" for m in range(traj.n_tracks)]
     extra = extra or {}
+    names = ["omega"] + [f"track_{m + 1}" for m in range(traj.n_tracks)]
     for name, arr in extra.items():
-        header += [f"{name}_{m + 1}" for m in range(arr.shape[0])]
-    header.append("mode")
-    w.writerow(header)
-    for k in range(traj.n_bins):
-        row = [f"{traj.omegas[k]:.17g}"]
-        row += [f"{traj.values[m, k]:.17g}" for m in range(traj.n_tracks)]
-        for arr in extra.values():
-            row += [f"{arr[m, k]:.17g}" for m in range(arr.shape[0])]
-        row.append(traj.mode)
-        w.writerow(row)
+        names += [f"{name}_{m + 1}" for m in range(arr.shape[0])]
+    header = ",".join(names + ["mode"])
+    if meta_line is not None:
+        header = meta_line + "\n" + header
+    table = np.vstack([traj.omegas, traj.values, *extra.values()]).T
+    np.savetxt(fh, table, fmt=",".join(["%.17g"] * len(names) + [traj.mode]),
+               header=header, comments="")

@@ -71,25 +71,16 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_table(path: Path, header: list, rows: list, cfg: RunConfig) -> None:
-    """Tabular output honoring --format; floats at 17 significant digits."""
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
-
+def _write_table(path: Path, columns: dict, row_fmt: str, cfg: RunConfig) -> None:
+    """Tabular output honoring --format; ``columns`` maps names to arrays and
+    ``row_fmt`` is the CSV row format."""
     if cfg.fmt == "csv":
-        lines = [_meta_line(cfg), ",".join(header)]
-        lines += [",".join(fmt(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
+        np.savetxt(path, np.column_stack(list(columns.values())), fmt=row_fmt,
+                   header=_meta_line(cfg) + "\n" + ",".join(columns),
+                   comments="")
     else:
-        payload = {
-            "meta": _meta(cfg),
-            "columns": header,
-            "rows": [[v if not isinstance(v, float) else float(fmt(v)) for v in row]
-                     for row in rows],
-        }
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        rows = list(zip(*(col.tolist() for col in columns.values())))
+        _write_json(path, {"columns": list(columns), "rows": rows}, cfg)
 
 
 def _traj_path(out: Path, stem: str, cfg: RunConfig) -> Path:
@@ -103,13 +94,10 @@ def _write_traj(path: Path, traj: anasvd.SvTrajectories, cfg: RunConfig,
             anasvd.write_trajectory_csv(traj, fh, extra=extra,
                                         meta_line=_meta_line(cfg))
     else:
-        payload = {
-            "mode": traj.mode,
-            "omega": [float(f"{w:.17g}") for w in traj.omegas],
-            "tracks": [[float(f"{v:.17g}") for v in row] for row in traj.values],
-        }
+        payload = {"mode": traj.mode, "omega": traj.omegas.tolist(),
+                   "tracks": traj.values.tolist()}
         for name, arr in (extra or {}).items():
-            payload[name] = [[float(f"{v:.17g}") for v in row] for row in arr]
+            payload[name] = arr.tolist()
         _write_json(path, payload, cfg)
 
 
@@ -117,25 +105,6 @@ def _level_tag(kind: str, level: float) -> str:
     """File-name tag of one perturbation level, e.g. s2n_0p01 or s2e_1em05."""
     prefix = {"sigma2_norm": "s2n", "sigma2_e": "s2e"}[kind]
     return prefix + "_" + f"{level:g}".replace(".", "p").replace("-", "m")
-
-
-def _align_to_forms(values: np.ndarray, forms: np.ndarray) -> float:
-    """Max deviation of extracted tracks from reference forms, minimized
-    over track permutation and per-track global sign."""
-    import itertools
-
-    r = values.shape[0]
-    best = np.inf
-    for perm in itertools.permutations(range(r)):
-        dev = 0.0
-        for m, p in enumerate(perm):
-            d = min(
-                np.abs(values[p] - forms[m]).max(),
-                np.abs(-values[p] - forms[m]).max(),
-            )
-            dev = max(dev, d)
-        best = min(best, dev)
-    return float(best)
 
 
 # -- subcommands -------------------------------------------------------
@@ -165,7 +134,7 @@ def cmd_ex1(cfg: RunConfig) -> int:
                                    values=forms)
     _write_traj(_traj_path(out, "ex1_closed_forms", cfg), closed, cfg)
     _write_traj(_traj_path(out, "ex1_smooth", cfg), smooth, cfg)
-    deviation = _align_to_forms(smooth.values, forms)
+    deviation = anasvd.track_deviation(smooth.values, forms)
     _write_json(out / "ex1_summary.json",
                 {"max_deviation": deviation, "tolerance": EX1_TOL,
                  "n_bins": cfg.n_bins,
@@ -194,18 +163,15 @@ def cmd_hist(cfg: RunConfig) -> int:
             return EXIT_USAGE
         fits.append({"index": m + 1, "nu": fit.nu, "s": fit.s,
                      "residual": fit.residual, "n": fit.n_samples})
-    rows = [
-        (t, m + 1, float(samples[m, t]))
-        for t in range(samples.shape[1])
-        for m in range(samples.shape[0])
-    ]
+    n_index, n_trials = samples.shape
+    columns = {"trial": np.repeat(np.arange(n_trials), n_index),
+               "index": np.tile(np.arange(1, n_index + 1), n_trials),
+               "value": samples.T.ravel()}
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"hist_samples.{cfg.fmt}", ["trial", "index", "value"],
-                 rows, cfg)
+    _write_table(out / f"hist_samples.{cfg.fmt}", columns, "%d,%d,%.17g", cfg)
     _write_json(out / "hist_fits.json",
                 {"omega0": omega0, "sigma2_e": sigma2_e, "fits": fits,
-                 "sample_min": [float(samples[m].min())
-                                for m in range(samples.shape[0])]}, cfg)
+                 "sample_min": samples.min(axis=1).tolist()}, cfg)
     print(f"hist: {cfg.trials} trials at omega0=pi, "
           f"min smallest sample {samples[-1].min():.3e}")
     return EXIT_OK

@@ -1,19 +1,22 @@
-"""Bin-wise SVD grids, trajectory association, diagnostics, interpolation."""
+"""Bin-wise SVD grids, trajectory association, diagnostics, track deviation."""
 
 import io
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysvd import (
     AssociationAmbiguous,
     PolyMatrix,
     binwise_svd,
     diagnostics,
-    interp_linear,
     majorized_trajectories,
     smooth_trajectories,
+    track_deviation,
 )
 from polysvd.anasvd import AMBIGUITY_MARGIN, _greedy_match, write_trajectory_csv
 from polysvd.sysgen import SeededRng, bigsys, example1, random_paraunitary
@@ -25,25 +28,6 @@ def sigma_scalars():
     s1 = PolyMatrix(np.array([0.25, 1, 0.25], dtype=complex).reshape(1, 1, 3), -1)
     s2 = PolyMatrix(np.array([-1j, 0, 1j]).reshape(1, 1, 3), -1)
     return s1, s2
-
-
-def align_to_forms(values, forms):
-    """Best max-deviation over track permutation and per-track sign."""
-    import itertools
-
-    best = np.inf
-    for perm in itertools.permutations(range(values.shape[0])):
-        dev = 0.0
-        for m, p in enumerate(perm):
-            dev = max(
-                dev,
-                min(
-                    np.abs(values[p] - forms[m]).max(),
-                    np.abs(-values[p] - forms[m]).max(),
-                ),
-            )
-        best = min(best, dev)
-    return best
 
 
 class TestBinwiseSvd:
@@ -123,7 +107,7 @@ class TestSmooth:
     def test_example1_closed_forms_k256(self):
         sm = smooth_trajectories(binwise_svd(example1().A, 256))
         forms = np.stack([1 + 0.5 * np.cos(sm.omegas), 2 * np.sin(sm.omegas)])
-        assert align_to_forms(sm.values, forms) <= 1e-8
+        assert track_deviation(sm.values, forms) <= 1e-8
 
     def test_constant_system_equals_majorized(self):
         c = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
@@ -146,7 +130,7 @@ class TestSmooth:
                 np.real(s2.eval_grid(512)[:, 0, 0]),
             ]
         )
-        assert align_to_forms(sm.values, forms) <= 1e-8
+        assert track_deviation(sm.values, forms) <= 1e-8
 
     def test_multiset_matches_majorized(self):
         b = binwise_svd(example1().A, 128)
@@ -455,28 +439,51 @@ class TestDiagnostics:
         assert d.min_smallest == pytest.approx(t.values[1].min(), abs=0)
 
 
-class TestInterp:
-    def test_grid_point_exact(self):
-        t = majorized_trajectories(binwise_svd(example1().A, 64))
-        k = 17
-        got = interp_linear(t, 2 * np.pi * k / 64)
-        assert np.array_equal(got, t.values[:, k])
+def permutation_loop_deviation(values, forms):
+    """Reference deviation: a Python loop over permutations and tracks."""
+    best = np.inf
+    for perm in itertools.permutations(range(values.shape[0])):
+        dev = 0.0
+        for m, p in enumerate(perm):
+            dev = max(
+                dev,
+                min(
+                    np.abs(values[p] - forms[m]).max(),
+                    np.abs(-values[p] - forms[m]).max(),
+                ),
+            )
+        best = min(best, dev)
+    return best
 
-    def test_midpoint_mean(self):
-        t = majorized_trajectories(binwise_svd(example1().A, 8))
-        om = (t.omegas[2] + t.omegas[3]) / 2
-        want = (t.values[:, 2] + t.values[:, 3]) / 2
-        assert np.abs(interp_linear(t, om) - want).max() < 1e-14
 
-    def test_example1_third_pi(self):
-        t = majorized_trajectories(binwise_svd(example1().A, 1024))
-        got = interp_linear(t, np.pi / 3)
-        # majorized track 1 at pi/3 is 2 sin(pi/3), track 2 is 1 + cos(pi/3)/2
-        assert abs(got[1] - 1.25) < 1e-4
+def draw_tracks(data):
+    r = data.draw(st.integers(1, 5), label="R")
+    k = data.draw(st.integers(1, 64), label="K")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+    reference = scale * rng.standard_normal((r, k))
+    perm = rng.permutation(r)
+    signs = rng.choice([-1.0, 1.0], size=(r, 1))
+    return rng, reference, signs * reference[perm]
 
-    def test_wraps_past_two_pi(self):
-        t = majorized_trajectories(binwise_svd(example1().A, 64))
-        assert np.abs(interp_linear(t, 2 * np.pi + 0.3) - interp_linear(t, 0.3)).max() < 1e-12
+
+class TestTrackDeviation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_permuted_sign_flipped_copy_is_exact(self, data):
+        _, reference, copy = draw_tracks(data)
+        assert track_deviation(copy, reference) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_permutation_loop(self, data):
+        # near copies (the best permutation matters) and unrelated tracks
+        rng, reference, copy = draw_tracks(data)
+        noise = data.draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e3]), label="noise")
+        values = copy + noise * rng.standard_normal(copy.shape)
+        got = track_deviation(values, reference)
+        assert type(got) is float
+        assert got == permutation_loop_deviation(values, reference)
 
 
 class TestCsv:
@@ -497,3 +504,17 @@ class TestCsv:
         row = buf.getvalue().strip().split("\n")[2]
         omega = float(row.split(",")[0])
         assert omega == t.omegas[1]
+
+    def test_values_read_back_exactly(self):
+        t = majorized_trajectories(binwise_svd(example1().A, 16))
+        t.values[0, :4] = [-0.0, 5e-324, 1e22, 1 / 3]
+        ref = -t.values[::-1].copy()
+        buf = io.StringIO()
+        write_trajectory_csv(t, buf, extra={"ref": ref})
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "omega,track_1,track_2,ref_1,ref_2,mode"
+        cells = [line.split(",") for line in lines[1:]]
+        assert {c[-1] for c in cells} == {"majorized"}
+        got = np.array([[float(v) for v in c[:-1]] for c in cells]).T
+        assert np.array_equal(got, np.vstack([t.omegas, t.values, ref]))
+        assert np.array_equal(np.signbit(got[1]), np.signbit(t.values[0]))

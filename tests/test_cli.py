@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from polysvd import PolyMatrix, example1
+from polysvd import (
+    PolyMatrix,
+    SeededRng,
+    bin_histogram_trials,
+    binwise_svd,
+    example1,
+    smooth_trajectories,
+)
 from polysvd.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -61,6 +68,22 @@ class TestEx1:
         summary = json.loads((out / "ex1_summary.json").read_text())
         assert summary["n_ambiguous_bins"] == 0
 
+    def test_json_format(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["ex1", "--bins", "64", "--out", str(out),
+                    "--format", "json"]) == EXIT_OK
+        sys = example1()
+        sm = smooth_trajectories(binwise_svd(sys.A, 64))
+        smooth = json.loads((out / "ex1_smooth.json").read_text())
+        closed = json.loads((out / "ex1_closed_forms.json").read_text())
+        assert smooth["mode"] == closed["mode"] == "smooth"
+        assert np.array_equal(smooth["omega"], sm.omegas)
+        assert np.array_equal(smooth["tracks"], sm.values)
+        assert np.array_equal(closed["tracks"],
+                              [f(sm.omegas) for f in sys.closed_forms])
+        assert smooth["meta"]["config"]["fmt"] == "json"
+        assert not list(out.glob("*.csv"))
+
     def test_clean_fixture_passes(self, tmp_path):
         fx = tmp_path / "fixture.json"
         fx.write_text(json.dumps(example1().A.to_json_dict()))
@@ -80,6 +103,29 @@ class TestHist:
         lines = (out / "hist_samples.csv").read_text().strip().split("\n")
         assert lines[1] == "trial,index,value"
         assert len(lines) == 2 + 300 * 2
+
+    def test_tables_read_back_exactly(self, tmp_path):
+        samples = bin_histogram_trials(example1(), np.pi, 150, 1e-4,
+                                       SeededRng(5, stream=0))
+        trial, index = np.divmod(np.arange(samples.size), samples.shape[0])
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            assert run(["hist", "--trials", "150", "--out", str(out),
+                        "--seed", "5", "--format", fmt]) == EXIT_OK
+            fits = json.loads((out / "hist_fits.json").read_text())
+            assert fits["sample_min"] == samples.min(axis=1).tolist()
+        rows = json.loads((tmp_path / "json" / "hist_samples.json").read_text())
+        assert rows["columns"] == ["trial", "index", "value"]
+        assert all(type(t) is int and type(m) is int for t, m, _ in rows["rows"])
+        got = np.array(rows["rows"], dtype=object)
+        assert got[:, 0].tolist() == trial.tolist()
+        assert got[:, 1].tolist() == (index + 1).tolist()
+        assert got[:, 2].tolist() == samples.T.ravel().tolist()
+        lines = (tmp_path / "csv" / "hist_samples.csv").read_text().splitlines()
+        cells = [line.split(",") for line in lines[2:]]
+        assert [c[0] for c in cells] == [str(t) for t in trial]
+        assert [c[1] for c in cells] == [str(m + 1) for m in index]
+        assert [float(c[2]) for c in cells] == samples.T.ravel().tolist()
 
     def test_deterministic_bytes(self, tmp_path):
         out = tmp_path / "o"
