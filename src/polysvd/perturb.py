@@ -4,6 +4,7 @@ singular values."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -14,6 +15,10 @@ from .polymat import PolyMatrix
 from .sysgen import GroundTruthSystem, SeededRng, as_generator, complex_normal
 
 _SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
+_EPS = 2.0**-53
+# above this argument the Hankel expansion's smallest term (~e^{-2x}) lies
+# below rounding, so it replaces the power series
+_BESSEL_SERIES_MAX = 25.0
 
 
 @dataclass(frozen=True)
@@ -160,18 +165,102 @@ def bin_histogram_trials(
     taps = complex_normal(g, (trials, sys.rows, sys.cols, order + 1), sigma2_e)
     phases = np.exp(-1j * omega0 * np.arange(order + 1))
     e0 = np.tensordot(taps, phases, axes=(3, 0))
-    svals = np.linalg.svd(a0[None, :, :] + e0, compute_uv=False)
+    _, svals, _ = densela.svd_stack(a0[None, :, :] + e0, vectors=False)
     return svals.T.copy()
 
 
-def _rician_mean_factor(theta: float) -> float:
-    # E[X]/s for theta = nu/s, via exponentially scaled Bessel functions;
-    # scipy is imported here, not at module level, so that only the Rician
-    # fit pays its import time
-    from scipy.special import i0e, i1e
+def _ive(nu: int, x: float) -> float:
+    # exp(-x) I_nu(x) for nu in {0, 1} and x >= 0
+    if x <= _BESSEL_SERIES_MAX:
+        # power series sum_k (x^2/4)^k (x/2)^nu / (k! (k+nu)!): every term
+        # is positive, so nothing cancels
+        q = 0.25 * x * x
+        term = total = 1.0 if nu == 0 else 0.5 * x
+        k = 0
+        while term > _EPS * total:
+            k += 1
+            term *= q / (k * (k + nu))
+            total += term
+        return total * math.exp(-x)
+    # Hankel expansion e^x / sqrt(2 pi x) sum_k t_k, cut at its smallest term
+    mu = 4.0 * nu * nu
+    term = total = 1.0
+    k = 0
+    while abs(term) > _EPS * abs(total):
+        k += 1
+        nxt = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+        total += term
+    return total / math.sqrt(2.0 * math.pi * x)
 
+
+def _i0e(x: float) -> float:
+    return _ive(0, x)
+
+
+def _i1e(x: float) -> float:
+    return _ive(1, x)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method: secant or inverse quadratic
+    steps where they shrink the bracket fast enough, bisection otherwise.
+
+    The step choice, the tolerance delta = (xtol + rtol |x|) / 2 and the exit
+    tests follow the widely used C ``brentq`` port of Brent's ``zero``
+    operation for operation, so it returns the same float as that port.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("root find did not converge in 100 iterations")
+
+
+def _rician_mean_factor(theta: float) -> float:
+    # E[X]/s for theta = nu/s, via exponentially scaled Bessel functions
     a = 0.25 * theta * theta
-    return _SQRT_HALF_PI * ((1.0 + 2.0 * a) * i0e(a) + 2.0 * a * i1e(a))
+    return _SQRT_HALF_PI * ((1.0 + 2.0 * a) * _i0e(a) + 2.0 * a * _i1e(a))
 
 
 def _rician_var_factor(theta: float) -> float:
@@ -187,8 +276,6 @@ def rician_fit(samples) -> RicianFit:
     the Rayleigh limit (4 - pi)/pi yield the degenerate nu = 0 fit with the
     mean matched and the variance mismatch reported in the residual.
     """
-    from scipy.optimize import brentq
-
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 100:
         raise ValueError("need at least 100 samples")
@@ -213,7 +300,7 @@ def rician_fit(samples) -> RicianFit:
             hi *= 2.0
             if hi > 1e12:
                 raise ValueError("sample ratio out of the Rician range")
-        theta = brentq(gap, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+        theta = _brentq(gap, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
         s = m1 / _rician_mean_factor(theta)
     nu = theta * s
     residual = abs(s * _rician_mean_factor(theta) - m1) + abs(

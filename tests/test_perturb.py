@@ -3,16 +3,20 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysvd import (
     PerturbConfig,
     PolyMatrix,
     SeededRng,
     bin_histogram_trials,
+    binwise_svd,
     example1,
     normalized_variance,
     perturb_and_analyze,
@@ -21,6 +25,8 @@ from polysvd import (
     scale_to_normalized,
     stewart_bounds,
 )
+from polysvd import perturb
+from polysvd.cli import main
 from polysvd.sysgen import GroundTruthSystem
 
 
@@ -256,16 +262,168 @@ class TestStewartBounds:
             stewart_bounds(np.eye(2), np.zeros((2, 2)), 2)
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.optimize/scipy.special cost most of the package import time and
-    # only the Rician fit needs them
+def _complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBoundProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_weyl_bound_every_bin(self, data):
+        # |sigma_i(A + E) - sigma_i(A)| <= ||E||_2 <= ||E||_F bin by bin
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_taps = data.draw(st.integers(0, 6), label="order") + 1
+        n_min = data.draw(st.integers(-4, 4), label="n_min")
+        a = PolyMatrix(_complex_normal(rng, rows, cols, n_taps), n_min)
+        sigma2_e = data.draw(st.sampled_from([1e-8, 1e-4, 0.1, 10.0]), label="sigma2_e")
+        e = random_error(rows, cols, data.draw(st.integers(0, 6)), sigma2_e, rng)
+        n_bins = data.draw(st.integers(1, 64), label="n_bins")
+        sigma = binwise_svd(a, n_bins, vectors=False).sigma
+        sigma_hat = binwise_svd(a + e, n_bins, vectors=False).sigma
+        e_frob = np.linalg.norm(e.eval_grid(n_bins), axis=(1, 2))
+        slack = 1e-12 * (1.0 + np.abs(a.coeffs).sum() + np.abs(e.coeffs).sum())
+        assert np.all(np.abs(sigma_hat - sigma) <= e_frob[:, None] + slack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stewart_bounds_hold(self, data):
+        # exactly low-rank bins reach the lower-bound branch as well
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        a_bin = _complex_normal(rng, rows, rank) @ _complex_normal(rng, rank, cols)
+        a_bin *= scale
+        level = data.draw(st.sampled_from([1e-6, 1e-2, 1.0]), label="level")
+        e_bin = level * scale * _complex_normal(rng, rows, cols)
+        m = data.draw(st.integers(0, min(rows, cols) - 1), label="m")
+        assert stewart_bounds(a_bin, e_bin, m).holds
+
+
+def test_import_leaves_scipy_unloaded(tmp_path, monkeypatch):
+    # the runtime needs numpy only: with every scipy import failing, `hist`
+    # still runs its Rician fits and writes the same fits as a normal run
     import polysvd
 
     src = str(Path(polysvd.__file__).resolve().parents[1])
-    code = ("import sys, polysvd; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
-            "if m in sys.modules))")
+    code = textwrap.dedent("""
+        import sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.startswith("scipy"):
+                    raise ImportError(f"{name} is blocked")
+                return None
+
+        sys.meta_path.insert(0, NoScipy())
+        from polysvd.cli import main
+        code = main(["hist", "--out", "out"])
+        assert not [m for m in sys.modules if m.startswith("scipy")]
+        sys.exit(code)
+    """)
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=blocked, check=True,
+                   capture_output=True, text=True, timeout=120)
+    monkeypatch.chdir(normal)
+    assert main(["hist", "--out", "out"]) == 0
+    fits = (blocked / "out" / "hist_fits.json").read_bytes()
+    assert fits == (normal / "out" / "hist_fits.json").read_bytes()
+
+
+def _old_rician_fit(x):
+    # the fit as it stood on scipy's brentq, i0e and i1e: (nu, s)
+    from scipy.optimize import brentq
+    from scipy.special import i0e, i1e
+
+    def mean_factor(theta):
+        a = 0.25 * theta * theta
+        return np.sqrt(np.pi / 2.0) * ((1.0 + 2.0 * a) * i0e(a) + 2.0 * a * i1e(a))
+
+    def var_factor(theta):
+        return 2.0 + theta * theta - mean_factor(theta) ** 2
+
+    m1, var = float(x.mean()), float(x.var())
+    rho = var / (m1 * m1)
+    rho0 = var_factor(0.0) / mean_factor(0.0) ** 2
+    if rho >= rho0:
+        return 0.0, m1 / np.sqrt(np.pi / 2.0)
+
+    def gap(t):
+        return var_factor(t) / mean_factor(t) ** 2 - rho
+
+    hi = 1.0
+    while gap(hi) > 0.0:
+        hi *= 2.0
+    theta = brentq(gap, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    s = m1 / mean_factor(theta)
+    return theta * s, s
+
+
+def _rician_gap(rho):
+    def gap(t):
+        h = perturb._rician_mean_factor(t)
+        return perturb._rician_var_factor(t) / (h * h) - rho
+
+    return gap
+
+
+class TestScipyOracle:
+    """The numpy-only Bessel functions, root find and fit against scipy."""
+
+    def test_bessel_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.concatenate([np.arange(6001) * 0.01, np.geomspace(1e-300, 1e24, 2000)])
+        for ours, ref in ((perturb._i0e, special.i0e), (perturb._i1e, special.i1e)):
+            got = np.array([ours(v) for v in x])
+            want = ref(x)
+            assert np.all(np.abs(got - want) <= 4e-15 * want)
+        assert perturb._i0e(0.0) == 1.0
+        assert perturb._i1e(0.0) == 0.0
+
+    def test_brentq_bit_equal_on_rician_gap(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(11)
+        rho0 = perturb._rician_var_factor(0.0) / perturb._rician_mean_factor(0.0) ** 2
+        # uniform ratios and log-uniform ones down to theta ~ 1e8
+        rhos = np.concatenate([rng.uniform(0.0, rho0, 100),
+                               rho0 * 10.0 ** rng.uniform(-16.0, 0.0, 100)])
+        for rho in rhos:
+            gap = _rician_gap(rho)
+            hi = 1.0
+            while gap(hi) > 0.0:
+                hi *= 2.0
+            want = optimize.brentq(gap, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+            assert perturb._brentq(gap, 0.0, hi, xtol=1e-13, rtol=8.9e-16) == want
+
+    def test_brentq_bit_equal_generic(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            root, lo, hi = np.sort(rng.uniform(-50.0, 50.0, 3))[[1, 0, 2]]
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+
+            def f(t):
+                return scale * (np.sinh(0.1 * (t - root)) + 0.3 * (t - root))
+
+            for xtol, rtol in ((1e-12, 8.9e-16), (1e-4, 1e-6)):
+                want = optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+                assert perturb._brentq(f, lo, hi, xtol, rtol) == want
+
+    @pytest.mark.parametrize("nu, s, n, seed", [
+        (0.6, 1.0, 20000, 21),   # near the Rayleigh limit
+        (3.0, 0.5, 5000, 22),    # interior, theta = 6
+        (1.0, 0.02, 5000, 23),   # large theta = 50
+    ])
+    def test_rician_fit_matches_scipy_fit(self, nu, s, n, seed):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        x = np.abs(nu + s * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        want_nu, want_s = _old_rician_fit(x)
+        assert want_nu > 0.0
+        fit = rician_fit(x)
+        assert fit.nu == pytest.approx(want_nu, rel=1e-12, abs=0)
+        assert fit.s == pytest.approx(want_s, rel=1e-12, abs=0)

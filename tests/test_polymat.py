@@ -258,6 +258,41 @@ class TestEvalGrid:
         assert np.array_equal(a.shifted(-4096).eval_grid(4096), a.eval_grid(4096))
 
 
+def _draw_polymat(data, rows, cols, label):
+    order = data.draw(st.integers(0, 6), label=f"{label} order")
+    n_min = data.draw(st.integers(-8, 8), label=f"{label} n_min")
+    scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]), label=f"{label} scale")
+    seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols, order + 1)
+    c = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return PolyMatrix(c, n_min)
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_parahermitian_involution(self, data):
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        a = _draw_polymat(data, rows, cols, "A")
+        back = a.parahermitian().parahermitian()
+        assert back.n_min == a.n_min
+        assert np.array_equal(back.coeffs, a.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_product_evaluates_to_matrix_product(self, data):
+        # (AB)(e^{jw}) = A(e^{jw}) B(e^{jw}) on every grid, aliased ones included
+        m, l, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = _draw_polymat(data, m, l, "A")
+        b = _draw_polymat(data, l, n, "B")
+        n_bins = data.draw(st.integers(1, 64), label="n_bins")
+        got = (a @ b).eval_grid(n_bins)
+        want = a.eval_grid(n_bins) @ b.eval_grid(n_bins)
+        bound = 1e-12 * (1.0 + np.abs(a.coeffs).sum()) * (1.0 + np.abs(b.coeffs).sum())
+        assert np.abs(got - want).max() <= bound
+
+
 class TestEnergy:
     def test_zero(self):
         assert PolyMatrix.zeros(3, 3).frob_energy() == 0.0
