@@ -322,16 +322,16 @@ def stewart_bounds(
     """
     a_bin = np.asarray(a_bin, dtype=np.complex128)
     e_bin = np.asarray(e_bin, dtype=np.complex128)
-    svals = np.linalg.svd(a_bin, compute_uv=False)
-    if not 0 <= m < svals.size:
+    _, svals, _ = densela.svd_stack(np.stack([a_bin, a_bin + e_bin]),
+                                    vectors=False)
+    if not 0 <= m < svals.shape[1]:
         raise IndexError(f"singular value index {m} out of range")
-    sigma = float(svals[m])
-    varsigma = float(np.linalg.svd(a_bin + e_bin, compute_uv=False)[m])
+    sigma, varsigma = (float(v) for v in svals[:, m])
     p, p_perp = densela.colspace_projector(a_bin, rank_tol)
     n_pe = densela.spectral_norm(p @ e_bin)
     n_ppe = densela.spectral_norm(p_perp @ e_bin)
     upper = float(np.sqrt((sigma + n_pe) ** 2 + n_ppe**2))
-    smax = float(svals[0])
+    smax = float(svals[0, 0])
     if smax == 0.0 or sigma <= rank_tol * smax:
         lower = densela.smallest_sv(p_perp @ e_bin)
     else:

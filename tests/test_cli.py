@@ -1,5 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -13,6 +15,7 @@ from polysvd import (
     example1,
     smooth_trajectories,
 )
+from polysvd import cli
 from polysvd.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -228,8 +231,10 @@ class TestPerturb:
     @pytest.mark.parametrize("flag", ["--sigma2-norm", "--sigma2-e", "--sigma2-v"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_variance_rejected(self, tmp_path, capsys, flag, value):
+        # --sigma2-v is a sysid flag, the other two are perturb flags
+        command = ["sysid"] if flag == "--sigma2-v" else ["perturb", "--bins", "16"]
         out = tmp_path / "o"
-        code = run(["perturb", "--bins", "16", "--out", str(out), flag, value])
+        code = run([*command, "--out", str(out), flag, value])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"usage error: {flag} must be finite\n"
@@ -287,7 +292,8 @@ class TestUsage:
     @pytest.mark.parametrize("command", ["perturb", "sysid"])
     def test_negative_seed_or_order(self, tmp_path, capsys, flag, command):
         out = tmp_path / "o"
-        code = run([command, "--bins", "16", "--out", str(out), flag, "-1"])
+        bins = ["--bins", "16"] if command == "perturb" else []
+        code = run([command, *bins, "--out", str(out), flag, "-1"])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {flag} must be >= 0\n"
         assert not out.exists()
@@ -299,3 +305,42 @@ class TestUsage:
         assert meta["config"]["seed"] == 9
         assert meta["config"]["n_bins"] == 64
         assert meta["config"]["subcommand"] == "ex1"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ex1", "--trials"), ("ex1", "--sigma2-norm"), ("ex1", "--sigma2-e"),
+        ("ex1", "--N"), ("ex1", "--sigma2-v"), ("ex1", "--order"),
+        ("hist", "--bins"), ("hist", "--sigma2-norm"), ("hist", "--N"),
+        ("hist", "--sigma2-v"), ("hist", "--order"),
+        ("perturb", "--N"), ("perturb", "--sigma2-v"),
+        ("sysid", "--bins"), ("sysid", "--trials"), ("sysid", "--sigma2-norm"),
+        ("sysid", "--sigma2-e"),
+    ])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        code = run([command, "--out", str(out), flag, "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, output", [
+        ("ex1", ["--bins", "16"], "ex1_summary.json"),
+        ("hist", ["--trials", "100"], "hist_fits.json"),
+        ("perturb", ["--bins", "16"], "perturb_diag_s2n_0p3.json"),
+        ("sysid", ["--N", "2000"], "sysid_report.json"),
+    ], ids=["ex1", "hist", "perturb", "sysid"])
+    def test_every_flag_is_read_and_echoed(self, tmp_path, command, args, output):
+        dests = set(vars(cli.build_parser().parse_args([command])))
+        source = inspect.getsource(getattr(cli, f"cmd_{command}"))
+        reads = {node.attr for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "ns"}
+        # seed and fmt reach every output through the meta and the writers
+        assert dests - {"subcommand", "seed", "fmt"} <= reads <= dests
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out), *args]) == EXIT_OK
+        config = json.loads((out / output).read_text())["meta"]["config"]
+        assert set(config) == dests
+        assert config["subcommand"] == command
+        if command == "hist":
+            assert config["sigma2_e"] == 1e-4
