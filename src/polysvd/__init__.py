@@ -6,7 +6,7 @@ Wiener-solution system identification."""
 __version__ = "0.1.0"
 
 from .polymat import PolyMatrix, TRIM_TOL
-from .densela import SvdResult, svd, spectral_norm, smallest_sv, colspace_projector
+from .densela import SvdResult, svd
 from .anasvd import (
     AssociationAmbiguous,
     BinwiseSvd,
@@ -58,9 +58,6 @@ __all__ = [
     "TRIM_TOL",
     "SvdResult",
     "svd",
-    "spectral_norm",
-    "smallest_sv",
-    "colspace_projector",
     "AssociationAmbiguous",
     "BinwiseSvd",
     "DiagnosticsReport",

@@ -64,13 +64,6 @@ class BinwiseSvd:
     def n_tracks(self) -> int:
         return self.sigma.shape[1]
 
-    def result(self, k: int) -> densela.SvdResult:
-        """Materialize the k-th bin as a plain SvdResult."""
-        if self.U is None:
-            raise ValueError("bin results need the singular vectors "
-                             "(binwise_svd with vectors=True)")
-        return densela.SvdResult(U=self.U[k], sigma=self.sigma[k], V=self.V[k])
-
 
 @dataclass
 class SvTrajectories:
@@ -152,21 +145,8 @@ def _greedy_match(score: np.ndarray):
     Returns (perm, ambiguous): perm[m] is the column picked for row m;
     ambiguous is True when some pick beat its best available alternative
     by less than AMBIGUITY_MARGIN.
-
-    Fast path: when the row argmaxes form a permutation and every pick
-    beats the other entries of its row by AMBIGUITY_MARGIN, the elimination
-    below takes exactly those picks, largest first, and finds none
-    ambiguous: a column rival of the pick taken lies in the row of a
-    smaller pick, so it is at least AMBIGUITY_MARGIN below that pick too.
     """
     r = score.shape[0]
-    rows = np.arange(r)
-    perm = score.argmax(axis=1)
-    if len(set(perm.tolist())) == r:
-        others = score.copy()
-        others[rows, perm] = -np.inf
-        if (score[rows, perm] - others.max(axis=1)).min() >= AMBIGUITY_MARGIN:
-            return perm, False
     sc = score.copy()
     perm = np.full(r, -1, dtype=int)
     ambiguous = False
@@ -195,13 +175,19 @@ def _flipped(v_ref: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _adjacent_matches(u: np.ndarray):
-    """_greedy_match's fast path applied to every pair of adjacent bins.
+    """The clear-match test applied to every pair of adjacent bins.
 
     u is (K, M, R).  For k >= 1, with S_k = |u[k-1]^H u[k]|, returns the row
     argmaxes a[k] of S_k, fast[k] telling whether they form a permutation
     whose every pick beats the rest of its row by AMBIGUITY_MARGIN, and w[k],
     the unit phase conj(d)/|d| of each picked overlap d.  Row 0 is unused.
     The products run over blocks of _BLOCK bins to keep temporaries small.
+
+    Where fast[k] holds, _greedy_match(S_k) returns (a[k], False): its
+    elimination takes exactly the argmax picks, largest first, and finds
+    none ambiguous, since a column rival of the pick taken lies in the row
+    of a smaller pick and so is at least AMBIGUITY_MARGIN below that pick
+    too.
     """
     k_bins, _, r = u.shape
     a = np.zeros((k_bins, r), dtype=int)
@@ -342,13 +328,13 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     The steps run in batched stages.  The scores |U_{k-1}^H U_k| of all
     adjacent bins come from blocked batched products; at a bin whose
     previous bin is the reference and whose row argmaxes form a clear
-    permutation (the fast path of the greedy match), the permutation is
-    that argmax permutation composed with the previous one and the phase
-    is the previous phase times the unit phase of the picked overlap.  A
-    Python loop visits only the other bins, those failing that test and
-    each bin right after an ambiguous one, and runs the greedy match there
-    on the overlap with u_prev.  Signs follow from the refresh chain as a
-    cumulative product of +-1 (see _track_signs).
+    permutation (the greedy match's picks there, see _adjacent_matches),
+    the permutation is that argmax permutation composed with the previous
+    one and the phase is the previous phase times the unit phase of the
+    picked overlap.  A Python loop visits only the other bins, those
+    failing that test and each bin right after an ambiguous one, and runs
+    the greedy match there on the overlap with u_prev.  Signs follow from
+    the refresh chain as a cumulative product of +-1 (see _track_signs).
 
     The result is one representative of the sign/permutation equivalence
     class of the analytic singular values: per-track global sign and track

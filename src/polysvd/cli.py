@@ -13,7 +13,7 @@ sysid    system identification and MSE decomposition
            --N [100000] --sigma2-v [0.01] --order/-J [system order]
 
 Every subcommand also takes --seed [0], --out [out] and --format
-{csv,json} [csv], and no other flag.
+{csv,json} [csv], and no other flag; flags are not abbreviated.
 
 Every output file embeds the seed, the parsed arguments and the package
 version, and is byte-identical across reruns with the same arguments.
@@ -159,9 +159,10 @@ def cmd_perturb(ns: argparse.Namespace) -> int:
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sys_ = sysgen.bigsys(sysgen.SeededRng(ns.seed, stream=1 << 20))
+    system = sys_.to_json_dict()
+    system["generator"] = system.pop("meta")
     (out / "system.json").write_text(
-        json.dumps({"meta": _meta(ns), **sys_.to_json_dict()}, sort_keys=True)
-        + "\n"
+        json.dumps({"meta": _meta(ns), **system}, sort_keys=True) + "\n"
     )
     refs = sysgen.reference_tracks(sys_, ns.n_bins)
     if ns.sigma2_norm is not None:
@@ -294,11 +295,11 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="polysvd", description=__doc__,
+    p = _Parser(prog="polysvd", description=__doc__, allow_abbrev=False,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="subcommand", required=True)
     for name, (help_, dests, defaults) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         for dest in dests:
             options, kwargs = _FLAGS[dest]
             sp.add_argument(*options, dest=dest, **kwargs)

@@ -20,6 +20,12 @@ _EPS = 2.0**-53
 # below rounding, so it replaces the power series
 _BESSEL_SERIES_MAX = 25.0
 
+# Relative threshold separating genuine rank deficiency from
+# double-precision noise in order-30 convolutions.
+RANK_TOL = 1e-10
+# Slack on both sides of the Stewart bounds.
+STEWART_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PerturbConfig:
@@ -310,34 +316,46 @@ def rician_fit(samples) -> RicianFit:
                      n_samples=int(x.size))
 
 
-def stewart_bounds(
-    a_bin, e_bin, m: int, rank_tol: float = densela.RANK_TOL, tol: float = 1e-9
-) -> StewartCheck:
+def stewart_bounds(a_bin, e_bin, m: int) -> StewartCheck:
     """Projection bounds for the m-th (0-based) perturbed singular value.
 
     upper = sqrt((sigma_m + ||P E||_2)^2 + ||P_perp E||_2^2) with P the
     column-space projector of the unperturbed bin; the lower bound
-    smallest_sv(P_perp E) applies only when sigma_m vanishes within
-    rank_tol (the regime the expansion targets), else 0.
+    sigma_min(P_perp E) applies only when sigma_m vanishes within RANK_TOL
+    (the regime the expansion targets), else 0.  The bounds hold when
+    varsigma lies within them up to STEWART_TOL.
+
+    Two stacked SVDs: a full one of A gives the rank and P from the first
+    rank left vectors, and a values-only one of [A, A + E, P E, P_perp E]
+    gives every singular value and norm reported.  LAPACK's values with
+    and without vectors may differ in the last bit, so sigma_m and
+    sigma_max come from the values-only call, like varsigma.
     """
     a_bin = np.asarray(a_bin, dtype=np.complex128)
     e_bin = np.asarray(e_bin, dtype=np.complex128)
-    _, svals, _ = densela.svd_stack(np.stack([a_bin, a_bin + e_bin]),
-                                    vectors=False)
+    u, s, _ = densela.svd_stack(a_bin[None])
+    u, s = u[0], s[0]
+    if s.size == 0 or s[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.sum(s > RANK_TOL * s[0]))
+    ur = u[:, :rank]
+    p = ur @ ur.conj().T
+    p_perp = np.eye(a_bin.shape[0], dtype=np.complex128) - p
+    _, svals, _ = densela.svd_stack(
+        np.stack([a_bin, a_bin + e_bin, p @ e_bin, p_perp @ e_bin]),
+        vectors=False)
     if not 0 <= m < svals.shape[1]:
         raise IndexError(f"singular value index {m} out of range")
-    sigma, varsigma = (float(v) for v in svals[:, m])
-    p, p_perp = densela.colspace_projector(a_bin, rank_tol)
-    n_pe = densela.spectral_norm(p @ e_bin)
-    n_ppe = densela.spectral_norm(p_perp @ e_bin)
+    sigma, varsigma = (float(v) for v in svals[:2, m])
+    smax, n_pe, n_ppe = (float(v) for v in svals[[0, 2, 3], 0])
     upper = float(np.sqrt((sigma + n_pe) ** 2 + n_ppe**2))
-    smax = float(svals[0, 0])
-    if smax == 0.0 or sigma <= rank_tol * smax:
-        lower = densela.smallest_sv(p_perp @ e_bin)
+    if smax == 0.0 or sigma <= RANK_TOL * smax:
+        lower = float(svals[3, -1])
     else:
         lower = 0.0
-    holds = (lower - tol) <= varsigma <= (upper + tol)
+    holds = (lower - STEWART_TOL) <= varsigma <= (upper + STEWART_TOL)
     return StewartCheck(
-        sigma_true=sigma, varsigma=varsigma, upper=upper, lower=float(lower),
+        sigma_true=sigma, varsigma=varsigma, upper=upper, lower=lower,
         holds=bool(holds),
     )

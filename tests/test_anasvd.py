@@ -61,16 +61,12 @@ class TestBinwiseSvd:
         with pytest.raises(ValueError, match="singular vectors"):
             smooth_trajectories(binwise_svd(example1().A, 16, vectors=False))
 
-    def test_result_needs_vectors(self):
-        with pytest.raises(ValueError, match="singular vectors"):
-            binwise_svd(example1().A, 16, vectors=False).result(3)
-
     def test_results_match_eval(self):
         a = example1().A
         b = binwise_svd(a, 8)
         for k in (0, 3, 7):
-            r = b.result(k)
-            recon = r.reconstruct()
+            r = b.sigma.shape[1]
+            recon = (b.U[k][:, :r] * b.sigma[k]) @ b.V[k][:, :r].conj().T
             assert np.abs(recon - a.eval(b.omegas[k])).max() < 1e-12
 
 

@@ -344,3 +344,46 @@ class TestUsage:
         assert config["subcommand"] == command
         if command == "hist":
             assert config["sigma2_e"] == 1e-4
+
+    @pytest.mark.parametrize("command, args", [
+        ("ex1", ["--bins", "16"]),
+        ("hist", ["--trials", "100"]),
+        ("perturb", ["--bins", "16"]),
+        ("sysid", ["--N", "2000"]),
+    ], ids=["ex1", "hist", "perturb", "sysid"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_json_file_carries_the_meta(self, tmp_path, command, args, fmt):
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out), "--seed", "3", "--format", fmt,
+                    *args]) == EXIT_OK
+        files = sorted(out.glob("*.json"))
+        assert files
+        for path in files:
+            meta = json.loads(path.read_text())["meta"]
+            assert meta["seed"] == 3, path.name
+            assert meta["config"]["subcommand"] == command, path.name
+            assert meta["version"] == cli.__version__, path.name
+
+    def test_system_json_keeps_the_generator_record(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["perturb", "--bins", "16", "--out", str(out)]) == EXIT_OK
+        text = (out / "system.json").read_text()
+        assert text.count("\n") == 1  # compact: one line
+        system = json.loads(text)
+        assert set(system) == {"meta", "generator", "U", "sigmas", "V", "A"}
+        assert system["generator"]["name"] == "bigsys"
+        assert system["generator"]["stream"] == 1 << 20
+
+    @pytest.mark.parametrize("command, abbreviation", [
+        ("sysid", ["--sig", "1"]),
+        ("hist", ["--sigma2", "1e-3"]),
+        ("perturb", ["--tri", "2"]),
+        ("ex1", ["--bin", "16"]),
+    ], ids=["sysid", "hist", "perturb", "ex1"])
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys, command, abbreviation):
+        out = tmp_path / "o"
+        code = run([command, "--out", str(out), *abbreviation])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,9 +1,13 @@
-"""Dense SVD kernel invariants and projector behavior."""
+"""Dense SVD kernel invariants; svd_stack as the package's one SVD call."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polysvd import colspace_projector, smallest_sv, spectral_norm, svd
+import polysvd
+from polysvd import svd
 from polysvd.densela import svd_stack
 from polysvd.sysgen import example1
 
@@ -67,54 +71,43 @@ class TestSvd:
         phase = np.exp(1j * 0.7312)
         assert np.abs(svd(a).sigma - svd(phase * a).sigma).max() < 1e-12
 
-
-class TestNorms:
-    def test_identity(self):
-        eye = np.eye(3, dtype=complex)
-        assert spectral_norm(eye) == pytest.approx(1.0)
-        assert smallest_sv(eye) == pytest.approx(1.0)
-
-    def test_rank_deficient(self):
-        a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        assert spectral_norm(a) == pytest.approx(1.0)
-        assert smallest_sv(a) == pytest.approx(0.0)
-
-    def test_consistent_with_svd(self):
-        a = random_complex(4, 4)
+    def test_is_slice_of_stack(self):
+        a = random_complex(3, 5)
+        u, s, v = svd_stack(a[None])
         r = svd(a)
-        assert spectral_norm(a) == pytest.approx(r.sigma[0], abs=1e-13)
-        assert smallest_sv(a) == pytest.approx(r.sigma[-1], abs=1e-13)
+        for got, want in ((r.U, u[0]), (r.sigma, s[0]), (r.V, v[0])):
+            assert np.array_equal(got, want)
+
+    def test_rejects_stack(self):
+        with pytest.raises(ValueError, match="2-D"):
+            svd(np.zeros((2, 2, 2)))
 
 
-class TestColspaceProjector:
-    def test_full_rank(self):
-        a = random_complex(4, 4)
-        p, pp = colspace_projector(a, 1e-10)
-        assert np.abs(p - np.eye(4)).max() < 1e-12
-        assert np.abs(pp).max() < 1e-12
+def _svd_call_sites():
+    """'module.function' around every *.linalg.svd call in the package."""
+    sites = []
+    for path in sorted(Path(polysvd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                assert "svd" not in [a.name for a in node.names], path.name
 
-    def test_tall_single_column(self):
-        p, pp = colspace_projector(np.array([[1.0], [0.0]], dtype=complex), 1e-10)
-        assert np.allclose(p, np.diag([1.0, 0.0]))
-        assert np.allclose(pp, np.diag([0.0, 1.0]))
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "svd"
+                        and ast.unparse(child.func.value).endswith("linalg")):
+                    sites.append(".".join([path.stem] + scope))
+                visit(child, scope)
 
-    def test_example1_rank_one_bin(self):
-        a = example1().A.eval(np.pi)  # sigma_2 there is 0
-        p, _ = colspace_projector(a, 1e-10)
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+        visit(tree, [])
+    return sites
 
-    def test_idempotent_hermitian(self):
-        a = random_complex(5, 3)
-        p, pp = colspace_projector(a, 1e-10)
-        for q in (p, pp):
-            assert np.abs(q @ q - q).max() < 1e-12
-            assert np.abs(q - q.conj().T).max() < 1e-12
 
-    def test_zero_matrix(self):
-        p, pp = colspace_projector(np.zeros((3, 3), dtype=complex), 1e-10)
-        assert np.abs(p).max() == 0.0
-        assert np.allclose(pp, np.eye(3))
-
-    def test_rank_tol_validated(self):
-        with pytest.raises(ValueError):
-            colspace_projector(np.eye(2), 0.0)
+def test_svd_stack_is_the_only_svd_call():
+    # the two calls: values only, and full factors
+    assert _svd_call_sites() == ["densela.svd_stack"] * 2

@@ -15,6 +15,7 @@ from polysvd import (
     PerturbConfig,
     PolyMatrix,
     SeededRng,
+    StewartCheck,
     bin_histogram_trials,
     binwise_svd,
     example1,
@@ -266,6 +267,99 @@ def _complex_normal(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+class TestStewartProjection:
+    """The column-space projector P of A, seen through the bounds."""
+
+    def test_full_rank(self):
+        # P = I up to rounding, so P_perp E vanishes: upper = sigma_m + ||E||_2
+        rng = np.random.default_rng(5)
+        a = _complex_normal(rng, 4, 4)
+        e = 1e-2 * _complex_normal(rng, 4, 4)
+        chk = stewart_bounds(a, e, 3)
+        want = np.linalg.svd(a, compute_uv=False)[3] + np.linalg.norm(e, 2)
+        assert chk.lower == 0.0
+        assert chk.upper == pytest.approx(want, rel=1e-12)
+        assert chk.holds
+
+    def test_tall_single_column(self):
+        # P = diag(1, 0): ||P E|| = |e_0| and ||P_perp E|| = |e_1|
+        e0, e1 = 0.3 + 0.1j, -0.2j
+        chk = stewart_bounds(np.array([[1.0], [0.0]]), np.array([[e0], [e1]]), 0)
+        assert chk.sigma_true == 1.0
+        assert chk.varsigma == pytest.approx(np.hypot(abs(1 + e0), abs(e1)))
+        assert chk.upper == pytest.approx(np.hypot(1 + abs(e0), abs(e1)))
+        assert chk.lower == 0.0
+        assert chk.holds
+
+    def test_example1_rank_one_bin(self):
+        # sigma_2 = 0 at omega = pi: P is rank one, spanned by u_1
+        a = example1().A.eval(np.pi)
+        e = 1e-2 * _complex_normal(np.random.default_rng(6), 2, 2)
+        u1 = np.linalg.svd(a)[0][:, :1]
+        p = u1 @ u1.conj().T
+        chk = stewart_bounds(a, e, 1)
+        n_pe = np.linalg.norm(p @ e, 2)
+        n_ppe = np.linalg.norm(e - p @ e, 2)
+        assert chk.upper == pytest.approx(np.hypot(n_pe, n_ppe), rel=1e-12)
+        # a rank-two P (P = I) would give upper = sigma_2 + ||E||_2 instead
+        assert chk.upper != pytest.approx(np.linalg.norm(e, 2), rel=1e-3)
+        assert chk.holds
+
+    def test_zero_matrix(self):
+        # rank 0: P = 0 and P_perp = I, so upper = ||E||_2, lower = sigma_min(E)
+        e = _complex_normal(np.random.default_rng(7), 3, 3)
+        svals = np.linalg.svd(e, compute_uv=False)
+        for m in range(3):
+            chk = stewart_bounds(np.zeros((3, 3)), e, m)
+            assert chk.sigma_true == 0.0
+            assert chk.upper == pytest.approx(svals[0], rel=1e-14)
+            assert chk.lower == pytest.approx(svals[-1], rel=1e-14)
+            assert chk.holds
+
+
+def _five_svd_stewart(a_bin, e_bin, m):
+    """stewart_bounds as five separate SVDs: one values-only SVD of
+    [A, A + E], a full SVD of A for its own projector, and one values-only
+    SVD per norm of P E and P_perp E."""
+    a_bin = np.asarray(a_bin, dtype=np.complex128)
+    e_bin = np.asarray(e_bin, dtype=np.complex128)
+    svals = np.linalg.svd(np.stack([a_bin, a_bin + e_bin]), compute_uv=False)
+    sigma, varsigma = (float(v) for v in svals[:, m])
+    u, s, _ = np.linalg.svd(a_bin, full_matrices=True)
+    rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-10 * s[0]))
+    ur = u[:, :rank]
+    p = ur @ ur.conj().T
+    p_perp = np.eye(a_bin.shape[0], dtype=np.complex128) - p
+    n_pe = float(np.linalg.svd(p @ e_bin, compute_uv=False)[0])
+    n_ppe = float(np.linalg.svd(p_perp @ e_bin, compute_uv=False)[0])
+    upper = float(np.sqrt((sigma + n_pe) ** 2 + n_ppe**2))
+    smax = float(svals[0, 0])
+    if smax == 0.0 or sigma <= 1e-10 * smax:
+        lower = float(np.linalg.svd(p_perp @ e_bin, compute_uv=False)[-1])
+    else:
+        lower = 0.0
+    holds = (lower - 1e-9) <= varsigma <= (upper + 1e-9)
+    return StewartCheck(sigma_true=sigma, varsigma=varsigma, upper=upper,
+                        lower=lower, holds=bool(holds))
+
+
+def _bits(chk):
+    return (chk.sigma_true.hex(), chk.varsigma.hex(), chk.upper.hex(),
+            chk.lower.hex(), chk.holds)
+
+
+def _low_rank_pair(data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+    a_bin = scale * (_complex_normal(rng, rows, rank) @ _complex_normal(rng, rank, cols))
+    level = data.draw(st.sampled_from([1e-6, 1e-2, 1.0]), label="level")
+    e_bin = level * scale * _complex_normal(rng, rows, cols)
+    m = data.draw(st.integers(0, min(rows, cols) - 1), label="m")
+    return a_bin, e_bin, m
+
+
 class TestBoundProperties:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -289,16 +383,16 @@ class TestBoundProperties:
     @given(data=st.data())
     def test_stewart_bounds_hold(self, data):
         # exactly low-rank bins reach the lower-bound branch as well
-        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
-        a_bin = _complex_normal(rng, rows, rank) @ _complex_normal(rng, rank, cols)
-        a_bin *= scale
-        level = data.draw(st.sampled_from([1e-6, 1e-2, 1.0]), label="level")
-        e_bin = level * scale * _complex_normal(rng, rows, cols)
-        m = data.draw(st.integers(0, min(rows, cols) - 1), label="m")
-        assert stewart_bounds(a_bin, e_bin, m).holds
+        assert stewart_bounds(*_low_rank_pair(data)).holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stewart_bounds_match_five_svds(self, data):
+        # the two stacked SVDs reproduce every field of the five-SVD form
+        # bit for bit, tall, wide and rank-deficient bins alike
+        a_bin, e_bin, m = _low_rank_pair(data)
+        got = stewart_bounds(a_bin, e_bin, m)
+        assert _bits(got) == _bits(_five_svd_stewart(a_bin, e_bin, m))
 
 
 def test_import_leaves_scipy_unloaded(tmp_path, monkeypatch):
