@@ -56,11 +56,6 @@ class PolyMatrix:
             raise ValueError("constant() expects a 2-D matrix")
         return cls(m[:, :, None], 0)
 
-    @classmethod
-    def delay(cls, dim: int, power: int = 1) -> "PolyMatrix":
-        """z^{-power} times the identity."""
-        return cls(np.eye(dim)[:, :, None], power)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -92,17 +87,6 @@ class PolyMatrix:
     def coeffs(self) -> np.ndarray:
         """Read-only view of the (M, L, T) coefficient tensor."""
         return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self._coeffs)
-
-    def tap(self, n: int) -> np.ndarray:
-        """Coefficient matrix of z^{-n} (zero outside the stored support)."""
-        t = n - self._n_min
-        if 0 <= t < self.n_taps:
-            return self._coeffs[:, :, t].copy()
-        return np.zeros((self.rows, self.cols), dtype=np.complex128)
 
     def max_abs(self) -> float:
         return float(np.abs(self._coeffs).max())

@@ -49,11 +49,14 @@ def complex_normal(rng, shape, sigma2: float = 1.0) -> np.ndarray:
     """CN(0, sigma2) draws: real and imaginary parts i.i.d. N(0, sigma2/2).
 
     One standard_normal call with a trailing axis of size 2 fixes the draw
-    order, so batched and per-element generation consume the stream alike.
+    order, so batched and per-element generation consume the stream alike;
+    each (real, imaginary) pair is viewed as one complex128 and scaled in
+    place, so the draws take no memory beyond the normals themselves.
     """
     g = as_generator(rng)
-    parts = g.standard_normal(tuple(shape) + (2,))
-    return np.sqrt(sigma2 / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+    z = g.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    z *= np.sqrt(sigma2 / 2.0)
+    return z
 
 
 @dataclass(frozen=True)

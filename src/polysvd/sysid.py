@@ -5,6 +5,12 @@ noisy outputs, solve the sample normal equations over stacked regressors
 (block Toeplitz up to edge terms, so they are built from lag products),
 and decompose the resulting mean square error into coefficient-error
 energy plus the noise floor.
+
+The convolution and the lag products both run over the stacked regressor
+Phi[n] = [x[n]; x[n-1]; ...], formed one cache-sized block of columns at a
+time in one reused buffer and consumed by one GEMM per block.  The full
+stack is never held, so memory stays O((L + M) N + block), the frame plus
+one block.
 """
 
 from __future__ import annotations
@@ -13,9 +19,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .polymat import PolyMatrix
 from .sysgen import GroundTruthSystem, as_generator, complex_normal
+
+# Entries of one stacked-regressor block: 2**16 complex entries (1 MiB) keep
+# each block GEMM in cache whatever the regressor dimension, where a fixed
+# column count would make the blocks of a few-tap system needlessly narrow
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,17 +73,51 @@ def causal_version(a: PolyMatrix):
     return a.shifted(delay), delay
 
 
+def _block_width(d: int, span: int) -> int:
+    """Columns per regressor block of dimension d over span columns."""
+    return min(max(1, _BLOCK_ENTRIES // d), max(1, span))
+
+
+def _regressor_blocks(x: np.ndarray, n_taps: int, start: int, stop: int):
+    """Yield (b0, b1, phi) over columns start..stop-1 of the stacked regressor.
+
+    phi is the (n_taps L) x (b1 - b0) block of Phi[n] = [x[n]; x[n-1]; ...;
+    x[n - n_taps + 1]], n = b0..b1-1, with x taken as zero before n = 0.
+    Each block holds at most _BLOCK_ENTRIES entries (one column at least) in
+    one buffer that the next block overwrites, so consume phi before
+    advancing.
+    """
+    n_src = x.shape[0]
+    d = n_taps * n_src
+    width = _block_width(d, stop - start)
+    buf = np.empty(d * width, dtype=np.complex128)
+    for b0 in range(start, stop, width):
+        b1 = min(b0 + width, stop)
+        lo = b0 - n_taps + 1
+        seg = x[:, max(lo, 0) : b1]
+        if lo < 0:
+            seg = np.concatenate([np.zeros((n_src, -lo), dtype=x.dtype), seg], axis=1)
+        # win[l, k, s] = x[l, b0 + k + s - n_taps + 1]; s reversed is the tap t
+        win = sliding_window_view(seg, n_taps, axis=1)
+        phi = buf[: d * (b1 - b0)].reshape(n_taps, n_src, b1 - b0)
+        phi[...] = win[:, :, ::-1].transpose(2, 0, 1)
+        yield b0, b1, phi.reshape(d, b1 - b0)
+
+
 def _convolve(a: PolyMatrix, x: np.ndarray) -> np.ndarray:
-    """y[n] = sum_p A[p] x[n - p] with zero initial state, n = 0..N-1."""
+    """y[n] = sum_p A[p] x[n - p] with zero initial state, n = 0..N-1.
+
+    One GEMM per regressor block: y[:, n_min + n] = A_flat Phi[n] with
+    A_flat = [A[n_min], A[n_min + 1], ...], the taps side by side.
+    """
     if a.n_min < 0:
         raise ValueError("convolution requires a causal system")
     n = x.shape[1]
     y = np.zeros((a.rows, n), dtype=np.complex128)
-    for t in range(a.n_taps):
-        p = a.n_min + t
-        if p >= n:
-            break
-        y[:, p:] += a.coeffs[:, :, t] @ x[:, : n - p]
+    span = n - a.n_min
+    a_flat = a.coeffs.transpose(0, 2, 1).reshape(a.rows, a.n_taps * a.cols)
+    for b0, b1, phi in _regressor_blocks(x, a.n_taps, 0, span):
+        y[:, a.n_min + b0 : a.n_min + b1] = a_flat @ phi
     return y
 
 
@@ -89,7 +135,7 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     x = complex_normal(g, (a_causal.cols, n_samples), 1.0)
     y = _convolve(a_causal, x)
     if sigma2_v > 0:
-        y = y + complex_normal(g, (a_causal.rows, n_samples), sigma2_v)
+        y += complex_normal(g, (a_causal.rows, n_samples), sigma2_v)
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v), n_samples=n_samples)
 
 
@@ -98,17 +144,19 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
 
     The first j_hat samples (filter transient) are excluded, so the sums run
     over count = N - J regressors.  The first block row of R_xx and all of
-    R_yx come from J + 1 lag products [x[n]; y[n]] x[n - j]^H, one
-    (L + M) x count by count x L product per lag j.  Shifting the sum by one
-    sample gives the exact edge recursion
+    R_yx are the lag products sum_n [x[n]; y[n]] Phi[n]^H with the stacked
+    regressor Phi[n] = [x[n]; ...; x[n - J]], accumulated one regressor
+    block at a time as conj([x; y]_blk) Phi_blk^T and conjugated once at the
+    end, so no conjugated or concatenated copy of the frame is made.
+    Shifting the sum by one sample gives the exact edge recursion
 
         R[i, j] = R[i-1, j-1] + x[J-i] x[J-j]^H - x[N-i] x[N-j]^H,
 
     which fills the upper block triangle one row of blocks at a time; the
-    lower block triangle is its Hermitian mirror.  The stack of shifted
-    regressors is never formed, so memory stays O((L + M) N), the size of
-    the frame.  Raises ValueError when count < d = (J + 1) L, where R_xx is
-    singular.
+    lower block triangle is its Hermitian mirror.  Only one block of the
+    stacked regressors is held at a time, so memory stays
+    O((L + M) N + block), the frame plus one block.  Raises ValueError when
+    count < d = (J + 1) L, where R_xx is singular.
     """
     x, y = frame.x, frame.y
     n_src, n_out = x.shape[0], y.shape[0]
@@ -118,15 +166,20 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
     if count < d:
         raise ValueError(f"n_samples - j_hat = {count} is below the regressor "
                          f"dimension d = {d}")
-    xc = x.conj()
-    z = np.concatenate([x[:, j_hat:], y[:, j_hat:]])
-    # r[i, :, j] is block R[i, j] of R_xx, r_yx[:, j] the lag-j block of R_yx
+    # conj(lag[r, j L + l]) = sum_n conj(z_r[n]) x_l[n - j], z = [x; y]
+    lag = np.zeros((n_src + n_out, d), dtype=np.complex128)
+    zc = np.empty((n_src + n_out) * _block_width(d, count), dtype=np.complex128)
+    for b0, b1, phi in _regressor_blocks(x, j_hat + 1, j_hat, n):
+        zc_blk = zc[: (n_src + n_out) * (b1 - b0)].reshape(n_src + n_out, b1 - b0)
+        np.conjugate(x[:, b0:b1], out=zc_blk[:n_src])
+        np.conjugate(y[:, b0:b1], out=zc_blk[n_src:])
+        lag += zc_blk @ phi.T
+    np.conjugate(lag, out=lag)
+    # r[i, :, j] is block R[i, j] of R_xx; columns j L..(j + 1) L - 1 of
+    # r_yx are the lag-j block of R_yx
     r = np.empty((j_hat + 1, n_src, j_hat + 1, n_src), dtype=np.complex128)
-    r_yx = np.empty((n_out, j_hat + 1, n_src), dtype=np.complex128)
-    for j in range(j_hat + 1):
-        lag = z @ xc[:, j_hat - j : n - j].T
-        r[0, :, j] = lag[:n_src]
-        r_yx[:, j] = lag[n_src:]
+    r[0] = lag[:n_src].reshape(n_src, j_hat + 1, n_src)
+    r_yx = lag[n_src:]
     for i in range(1, j_hat + 1):
         head = x[:, : j_hat - i + 1][:, ::-1]  # x[J - j], j = i..J
         tail = x[:, n - j_hat : n - i + 1][:, ::-1]  # x[N - j], j = i..J
@@ -134,7 +187,7 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
                        + head[:, :1, None] * head.conj().T
                        - tail[:, :1, None] * tail.conj().T)
         r[i, :, :i] = r[:i, :, i].conj().transpose(2, 0, 1)
-    return r.reshape(d, d) / count, r_yx.reshape(n_out, d) / count
+    return r.reshape(d, d) / count, r_yx / count
 
 
 def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> WienerEstimate:
@@ -186,9 +239,9 @@ def mse_decomposition(
     xi_mse averages over the post-transient samples (n >= J_hat); the gap
     term reports the absolute mismatch of the decomposition.
     """
-    y_hat = _convolve(est.A_hat, frame.x)
-    resid = y_hat[:, est.J_hat :] - frame.y[:, est.J_hat :]
-    xi = float(np.mean(np.sum(np.abs(resid) ** 2, axis=0)))
+    resid = _convolve(est.A_hat, frame.x)  # y_hat, made y_hat - y in place
+    resid -= frame.y
+    xi = float(np.mean(np.sum(np.abs(resid[:, est.J_hat :]) ** 2, axis=0)))
     err_energy = error_system(est, sys).frob_energy()
     noise_floor = frame.y.shape[0] * frame.sigma2_v
     return MseReport(

@@ -83,7 +83,7 @@ class TestScaleToNormalized:
     def test_zero_target(self):
         a = example1().A
         e = random_error(2, 2, 2, 1e-3, SeededRng(8))
-        assert scale_to_normalized(e, a, 0.0).is_zero
+        assert not np.any(scale_to_normalized(e, a, 0.0).coeffs)
 
     def test_hits_target(self):
         a = example1().A

@@ -17,15 +17,32 @@ from polysvd import (
     reference_tracks,
 )
 
+from polysvd.sysgen import complex_normal
 from test_polymat import ex1_matrix
+
+
+class TestComplexNormal:
+    # the shapes the package draws: random_paraunitary's (d, d) and (d,),
+    # random_parahermitian_scalar's (1, 1, n), random_error's (M, L, T),
+    # perturb_and_analyze's (trials, M, L, T) and simulate's (L, N)
+    @pytest.mark.parametrize("shape", [(6, 6), (6,), (1, 1, 9), (2, 3, 4),
+                                       (10, 6, 6, 31), (6, 5000)])
+    @pytest.mark.parametrize("sigma2", [1.0, 0.3, 1e-4])
+    def test_bitwise_equal_to_pair_sum(self, shape, sigma2):
+        got = complex_normal(SeededRng(3, stream=7), shape, sigma2)
+        parts = SeededRng(3, stream=7).generator().standard_normal(shape + (2,))
+        want = np.sqrt(sigma2 / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+        assert got.shape == shape and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
 
 
 class TestElementaryPu:
     def test_basis_vector(self):
         q = elementary_pu(np.array([1.0, 0.0]))
         # (I - e1 e1^H) + e1 e1^H z^{-1} = diag(z^{-1}, 1)
-        assert np.allclose(q.tap(0), np.diag([0.0, 1.0]))
-        assert np.allclose(q.tap(1), np.diag([1.0, 0.0]))
+        assert q.n_min == 0 and q.n_taps == 2
+        assert np.allclose(q.coeffs[:, :, 0], np.diag([0.0, 1.0]))
+        assert np.allclose(q.coeffs[:, :, 1], np.diag([1.0, 0.0]))
 
     def test_paraunitary_random_w(self):
         rng = np.random.default_rng(11)
@@ -38,9 +55,10 @@ class TestElementaryPu:
         w = np.array([1.0, 1.0]) / np.sqrt(2)
         q = elementary_pu(w)
         p = np.outer(w, w.conj())
-        assert np.allclose(q.tap(0), np.eye(2) - p)
-        assert np.allclose(q.tap(1), p)
-        assert np.linalg.matrix_rank(q.tap(1)) == 1
+        assert q.n_min == 0 and q.n_taps == 2
+        assert np.allclose(q.coeffs[:, :, 0], np.eye(2) - p)
+        assert np.allclose(q.coeffs[:, :, 1], p)
+        assert np.linalg.matrix_rank(q.coeffs[:, :, 1]) == 1
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -77,7 +95,7 @@ class TestRandomParahermitianScalar:
         s = random_parahermitian_scalar(1, SeededRng(5))
         # c + conj(c) is a real constant
         assert s.n_taps == 1 and s.n_min == 0
-        assert abs(s.tap(0)[0, 0].imag) < 1e-15
+        assert abs(s.coeffs[0, 0, 0].imag) < 1e-15
 
     def test_parahermitian_and_real_on_circle(self):
         s = random_parahermitian_scalar(4, SeededRng(6))
@@ -96,8 +114,9 @@ class TestAssemble:
         s1 = PolyMatrix(np.array([0.25, 1, 0.25], dtype=complex).reshape(1, 1, 3), -1)
         s2 = PolyMatrix(np.array([-1j, 0, 1j]).reshape(1, 1, 3), -1)
         sys = assemble(PolyMatrix.identity(2), (s1, s2), PolyMatrix.identity(2))
-        assert np.allclose(sys.A.tap(0), np.diag([1.0, 0.0]))
-        assert np.allclose(sys.A.tap(1), np.diag([0.25, 1j]))
+        a = sys.A.coeffs
+        assert np.allclose(a[:, :, 0 - sys.A.n_min], np.diag([1.0, 0.0]))
+        assert np.allclose(a[:, :, 1 - sys.A.n_min], np.diag([0.25, 1j]))
 
     def test_invariant_violation(self):
         s1 = PolyMatrix(np.array([0.25, 1, 0.25], dtype=complex).reshape(1, 1, 3), -1)
@@ -138,7 +157,8 @@ class TestExample1:
         assert np.abs(sys.A.coeffs - want.coeffs).max() < 1e-15
 
     def test_entry_11_constant_tap(self):
-        assert example1().A.tap(0)[0, 0] == pytest.approx(0.5)
+        a = example1().A
+        assert a.coeffs[0, 0, 0 - a.n_min] == pytest.approx(0.5)
 
     def test_closed_forms_at_pi(self):
         f1, f2 = example1().closed_forms

@@ -1,5 +1,8 @@
 """Simulation, Wiener least-squares identification, MSE decomposition."""
 
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,9 @@ from polysvd import (
     simulate,
     wiener_estimate,
 )
+from polysvd import sysid
 from polysvd.sysgen import GroundTruthSystem
-from polysvd.sysid import SignalFrame, _stacked_correlations
+from polysvd.sysid import SignalFrame, _convolve, _regressor_blocks, _stacked_correlations
 
 
 def system_from(a: PolyMatrix) -> GroundTruthSystem:
@@ -39,14 +43,101 @@ class TestCausalVersion:
         assert np.array_equal(causal.coeffs, a.coeffs)
 
 
+@contextmanager
+def small_budget(data):
+    """Shrink the regressor block budget to a drawn size, so short records
+    span several blocks with a ragged last one."""
+    budget = data.draw(st.one_of(st.integers(1, 64), st.just(sysid._BLOCK_ENTRIES)),
+                       label="block entries")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysid, "_BLOCK_ENTRIES", budget)
+        yield
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestRegressorBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_blocks_tile_the_zero_padded_stack(self, data):
+        n_src = data.draw(st.integers(1, 4), label="L")
+        n_taps = data.draw(st.integers(1, 8), label="T")
+        n = data.draw(st.integers(1, 60), label="N")
+        start = data.draw(st.integers(0, n), label="start")
+        x = random_complex(np.random.default_rng(n), n_src, n)
+        padded = np.concatenate([np.zeros((n_src, n_taps - 1)), x], axis=1)
+        ref = np.concatenate([padded[:, n_taps - 1 - t : n_taps - 1 - t + n]
+                              for t in range(n_taps)])
+        with small_budget(data):
+            width = max(1, sysid._BLOCK_ENTRIES // (n_taps * n_src))
+            b_prev = start
+            for b0, b1, phi in _regressor_blocks(x, n_taps, start, n):
+                assert b0 == b_prev and 0 < b1 - b0 <= width
+                assert np.array_equal(phi, ref[:, b0:b1])
+                b_prev = b1
+        assert b_prev == n
+
+
+def convolve_reference(a, x):
+    """The former per-tap convolution loop."""
+    n = x.shape[1]
+    y = np.zeros((a.rows, n), dtype=np.complex128)
+    for t in range(a.n_taps):
+        p = a.n_min + t
+        if p < n:
+            y[:, p:] += a.coeffs[:, :, t] @ x[:, : n - p]
+    return y
+
+
+class TestConvolve:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_tap_sum_property(self, data):
+        # N from below n_min and below the tap count up to several blocks
+        n_src = data.draw(st.integers(1, 4), label="L")
+        n_out = data.draw(st.integers(1, 4), label="M")
+        n_taps = data.draw(st.integers(1, 8), label="T")
+        n_min = data.draw(st.integers(0, 3), label="n_min")
+        n = data.draw(st.integers(1, 80), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = PolyMatrix(random_complex(rng, n_out, n_src, n_taps), n_min)
+        x = random_complex(rng, n_src, n)
+        with small_budget(data):
+            y = _convolve(a, x)
+        ref = convolve_reference(a, x)
+        assert y.shape == (n_out, n)
+        assert not np.any(y[:, :n_min])
+        bound = 1e-13 * (1.0 + np.abs(a.coeffs).max() * np.abs(x).max())
+        assert np.abs(y - ref).max() <= bound
+
+    def test_rejects_noncausal(self):
+        with pytest.raises(ValueError, match="causal"):
+            _convolve(PolyMatrix(np.ones((1, 1, 2)), -1), np.ones((1, 5)))
+
+
 class TestSimulate:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_identity_and_pure_delay_are_exact_property(self, data):
+        # a unit tap copies x bitwise, whatever the block layout
+        dim = data.draw(st.integers(1, 4), label="dim")
+        delay = data.draw(st.integers(0, 3), label="delay")
+        n = data.draw(st.integers(delay + 1, 200), label="N")
+        sys = system_from(PolyMatrix(np.eye(dim)[:, :, None], delay))
+        with small_budget(data):
+            f = simulate(sys, n, 0.0, SeededRng(data.draw(st.integers(0, 99))))
+        assert not np.any(f.y[:, :delay])
+        assert np.array_equal(f.y[:, delay:], f.x[:, : n - delay])
+
     def test_identity_noiseless(self):
         sys = system_from(PolyMatrix.identity(2))
         f = simulate(sys, 500, 0.0, SeededRng(0))
         assert np.array_equal(f.y, f.x)
 
     def test_unit_delay(self):
-        sys = system_from(PolyMatrix.delay(2, 1))
+        sys = system_from(PolyMatrix(np.eye(2)[:, :, None], 1))
         f = simulate(sys, 500, 0.0, SeededRng(1))
         assert np.abs(f.y[:, 0]).max() == 0.0
         assert np.array_equal(f.y[:, 1:], f.x[:, :-1])
@@ -90,7 +181,8 @@ class TestStackedCorrelations:
         x = sx * (rng.standard_normal((n_src, n)) + 1j * rng.standard_normal((n_src, n)))
         y = sy * (rng.standard_normal((n_out, n)) + 1j * rng.standard_normal((n_out, n)))
         frame = SignalFrame(x=x, y=y, sigma2_v=0.0, n_samples=n)
-        r_xx, r_yx = _stacked_correlations(frame, j_hat)
+        with small_budget(data):
+            r_xx, r_yx = _stacked_correlations(frame, j_hat)
         ref_xx, ref_yx = stacked_gram(frame, j_hat)
         ax, ay = np.abs(x).max(), np.abs(y).max()
         bound = 1e-13 * (1.0 + ax * max(ax, ay))
@@ -107,6 +199,21 @@ class TestStackedCorrelations:
         assert np.abs(r_xx - ref_xx).max() <= 1e-14
         assert np.abs(r_yx - ref_yx).max() <= 1e-14
 
+    def test_memory_is_one_block_plus_normal_equations(self):
+        # the frame is 3.8 MB; the solve may hold one regressor block and a
+        # few d x d matrices, but no N-length copy of x or y
+        sys = bigsys(SeededRng(2))
+        frame = simulate(sys, 20000, 0.01, SeededRng(2, stream=1))
+        j_hat = causal_version(sys.A)[0].order
+        d = (j_hat + 1) * frame.x.shape[0]
+        tracemalloc.start()
+        try:
+            wiener_estimate(frame, j_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (sysid._BLOCK_ENTRIES + 4 * d * d)
+
 
 class TestWienerEstimate:
     def test_noiseless_exact_order(self):
@@ -121,7 +228,7 @@ class TestWienerEstimate:
         sys = system_from(PolyMatrix.constant(c))
         frame = simulate(sys, 20000, 0.0, SeededRng(5))
         est = wiener_estimate(frame, 0, reg=0.0)
-        assert np.abs(est.A_hat.tap(0) - c).max() < 1e-3
+        assert np.abs(est.A_hat.coeffs[:, :, 0] - c).max() < 1e-3
 
     def test_estimate_is_causal_with_jhat_taps(self):
         frame = simulate(example1(), 5000, 0.01, SeededRng(6))
