@@ -16,7 +16,7 @@ Every subcommand also takes --seed [0], --out [out] and --format
 {csv,json} [csv], and no other flag; flags are not abbreviated.
 
 Every output file embeds the seed, the parsed arguments and the package
-version, and is byte-identical across reruns with the same arguments.
+version; a rerun rewrites it byte for byte, noting the overwrite on stderr.
 Exit codes: 0 success, 1 usage error, 2 numerical tolerance failure.
 """
 
@@ -48,9 +48,16 @@ def _meta_line(ns: argparse.Namespace) -> str:
     return "# " + json.dumps(_meta(ns), sort_keys=True)
 
 
-def _write_json(path: Path, payload: dict, ns: argparse.Namespace) -> None:
+def _note_overwrite(path: Path) -> None:
+    if path.exists():
+        print(f"note: overwriting {path}", file=_sys.stderr)
+
+
+def _write_json(path: Path, payload: dict, ns: argparse.Namespace,
+                indent: Optional[int] = 1) -> None:
+    _note_overwrite(path)
     payload = {"meta": _meta(ns), **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
 
 
 def _write_table(path: Path, columns: dict, row_fmt: str,
@@ -58,6 +65,7 @@ def _write_table(path: Path, columns: dict, row_fmt: str,
     """Tabular output honoring --format; ``columns`` maps names to arrays and
     ``row_fmt`` is the CSV row format."""
     if ns.fmt == "csv":
+        _note_overwrite(path)
         np.savetxt(path, np.column_stack(list(columns.values())), fmt=row_fmt,
                    header=_meta_line(ns) + "\n" + ",".join(columns),
                    comments="")
@@ -69,6 +77,7 @@ def _write_table(path: Path, columns: dict, row_fmt: str,
 def _write_traj(path: Path, traj: anasvd.SvTrajectories, ns: argparse.Namespace,
                 extra: Optional[dict] = None) -> None:
     if ns.fmt == "csv":
+        _note_overwrite(path)
         with path.open("w") as fh:
             anasvd.write_trajectory_csv(traj, fh, extra=extra,
                                         meta_line=_meta_line(ns))
@@ -161,9 +170,7 @@ def cmd_perturb(ns: argparse.Namespace) -> int:
     sys_ = sysgen.bigsys(sysgen.SeededRng(ns.seed, stream=1 << 20))
     system = sys_.to_json_dict()
     system["generator"] = system.pop("meta")
-    (out / "system.json").write_text(
-        json.dumps({"meta": _meta(ns), **system}, sort_keys=True) + "\n"
-    )
+    _write_json(out / "system.json", system, ns, indent=None)
     refs = sysgen.reference_tracks(sys_, ns.n_bins)
     if ns.sigma2_norm is not None:
         settings = [("sigma2_norm", v) for v in ns.sigma2_norm]
@@ -237,10 +244,8 @@ def cmd_sysid(ns: argparse.Namespace) -> int:
         },
         ns,
     )
-    (out / "sysid_error_system.json").write_text(
-        json.dumps({"meta": _meta(ns), **err.to_json_dict()}, sort_keys=True)
-        + "\n"
-    )
+    _write_json(out / "sysid_error_system.json", err.to_json_dict(), ns,
+                indent=None)
     print(f"sysid: N={ns.n_samples} xi_mse={report.xi_mse:.5g} "
           f"error_energy={report.error_energy:.5g} "
           f"gap={report.decomposition_gap:.3g} cond={est.condition:.3g}")

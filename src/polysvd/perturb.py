@@ -12,7 +12,7 @@ import numpy as np
 
 from . import anasvd, densela
 from .polymat import PolyMatrix
-from .sysgen import GroundTruthSystem, SeededRng, as_generator, complex_normal
+from .sysgen import GroundTruthSystem, SeededRng, complex_normal
 
 _SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 _EPS = 2.0**-53
@@ -164,13 +164,10 @@ def bin_histogram_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    g = as_generator(rng)
     a0 = sys.A.eval(omega0)
-    order = sys.A.order
-    # one batched draw consumes the stream exactly like per-trial draws
-    taps = complex_normal(g, (trials, sys.rows, sys.cols, order + 1), sigma2_e)
-    phases = np.exp(-1j * omega0 * np.arange(order + 1))
-    e0 = np.tensordot(taps, phases, axes=(3, 0))
+    # rows t*M .. t*M + M - 1 are trial t, drawn as per-trial draws would be
+    err = random_error(trials * sys.rows, sys.cols, sys.A.order, sigma2_e, rng)
+    e0 = err.eval_at([omega0])[0].reshape(trials, sys.rows, sys.cols)
     _, svals, _ = densela.svd_stack(a0[None, :, :] + e0, vectors=False)
     return svals.T.copy()
 

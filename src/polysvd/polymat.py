@@ -164,37 +164,31 @@ class PolyMatrix:
 
     # -- evaluation ---------------------------------------------------
 
-    def _eval_many(self, omegas: np.ndarray) -> np.ndarray:
+    def eval_at(self, omegas) -> np.ndarray:
+        """A(e^{j omega}) = sum_n A[n] e^{-j omega n} (the z^{-n} convention)
+        at each omega of a sequence, as a (len(omegas), M, L) array."""
         powers = self._n_min + np.arange(self.n_taps)
         phases = np.exp(-1j * np.outer(omegas, powers))  # (K, T)
         return np.tensordot(phases, np.moveaxis(self._coeffs, 2, 0), axes=(1, 0))
 
     def eval(self, omega: float) -> np.ndarray:
         """Value on the unit circle at z = e^{j omega}."""
-        return self._eval_many(np.array([float(omega)]))[0]
+        return self.eval_at([omega])[0]
 
     def eval_grid(self, n_bins: int) -> np.ndarray:
         """Values at the uniform grid omega_k = 2 pi k / K, k = 0..K-1.
 
-        Returns a (K, M, L) array.  For K >= n_taps the grid is a zero-padded
-        FFT over the tap axis, times the phase exp(-2 pi j k n_min / K) of
-        the Laurent offset; it agrees with pointwise eval() to rounding,
-        within 1e-12 * (1 + sum of |coefficients|).  For K < n_taps the taps
-        would alias, so the grid uses the direct contraction of eval() and
-        agrees with it exactly.
+        Returns a (K, M, L) array.  On the grid z^{-n} depends on n mod K
+        only, so tap t is added into bin (n_min + t) mod K and one in-place
+        FFT over the bins gives the values for every K and n_min, equal to
+        eval_at's within 1e-12 * (1 + sum of |coefficients|).
         """
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if n_bins < self.n_taps:
-            omegas = 2.0 * np.pi * np.arange(n_bins) / n_bins
-            return self._eval_many(omegas)
-        grid = np.fft.fft(np.moveaxis(self._coeffs, 2, 0), n=n_bins, axis=0)
-        if self._n_min:
-            # reduce k * n_min mod K in integers so the phase stays exact on
-            # long grids; reducing n_min first keeps the product below K^2
-            k = (np.arange(n_bins) * (self._n_min % n_bins)) % n_bins
-            grid *= np.exp(-2j * np.pi * k / n_bins)[:, None, None]
-        return grid
+        folded = np.zeros((n_bins, self.rows, self.cols), dtype=np.complex128)
+        bins = (self._n_min % n_bins + np.arange(self.n_taps)) % n_bins
+        np.add.at(folded, bins, np.moveaxis(self._coeffs, 2, 0))
+        return np.fft.fft(folded, axis=0, out=folded)
 
     # -- energies and predicates ---------------------------------------
 
@@ -243,10 +237,13 @@ class PolyMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PolyMatrix":
+        for key in ("M", "L", "n_min"):
+            if not isinstance(d[key], int) or isinstance(d[key], bool):
+                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
         taps = np.asarray(d["coeffs"], dtype=float)
         if taps.ndim != 4 or taps.shape[3] != 2:
             raise ValueError("coeffs must be T x M x L x [re, im]")
         if taps.shape[1] != d["M"] or taps.shape[2] != d["L"]:
             raise ValueError("coeffs shape disagrees with M, L")
         c = taps[..., 0] + 1j * taps[..., 1]
-        return cls(np.moveaxis(c, 0, 2), int(d["n_min"]))
+        return cls(np.moveaxis(c, 0, 2), d["n_min"])

@@ -52,7 +52,11 @@ class TestEx1:
                     "--fixture", str(fx)])
         assert code == EXIT_TOLERANCE
 
-    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"])
+    @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"] + [
+        # a fractional or string offset, or a float size
+        pytest.param(json.dumps({**example1().A.to_json_dict(), key: value}),
+                     id=f"{key}={value!r}")
+        for key, value in (("n_min", -0.5), ("n_min", "-1"), ("M", 2.0))])
     def test_unreadable_fixture(self, tmp_path, capsys, content):
         fx = tmp_path / "fixture.json"
         if content is not None:
@@ -373,6 +377,28 @@ class TestUsage:
         assert set(system) == {"meta", "generator", "U", "sigmas", "V", "A"}
         assert system["generator"]["name"] == "bigsys"
         assert system["generator"]["stream"] == 1 << 20
+
+    @pytest.mark.parametrize("command, args", [
+        ("ex1", ["--bins", "16"]),
+        ("hist", ["--trials", "100"]),
+        ("perturb", ["--bins", "16"]),
+        ("sysid", ["--N", "2000"]),
+    ], ids=["ex1", "hist", "perturb", "sysid"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rerun_notes_each_overwritten_file(self, tmp_path, capsys, command,
+                                               args, fmt):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--format", fmt, *args]
+        assert run(argv) == EXIT_OK
+        first_out, first_err = capsys.readouterr()
+        assert "note:" not in first_err
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(argv) == EXIT_OK
+        again_out, again_err = capsys.readouterr()
+        assert again_out == first_out
+        notes = sorted(again_err.splitlines())
+        assert notes == sorted(f"note: overwriting {out / name}" for name in first)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     @pytest.mark.parametrize("command, abbreviation", [
         ("sysid", ["--sig", "1"]),

@@ -28,7 +28,7 @@ from polysvd import (
 )
 from polysvd import perturb
 from polysvd.cli import main
-from polysvd.sysgen import GroundTruthSystem
+from polysvd.sysgen import GroundTruthSystem, complex_normal
 
 
 class TestRandomError:
@@ -187,6 +187,21 @@ class TestBinHistogramTrials:
         a = bin_histogram_trials(sys, np.pi, 200, 1e-4, SeededRng(2))
         b = bin_histogram_trials(sys, np.pi, 200, 1e-4, SeededRng(2))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("omega0", [np.pi, 0.7])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_per_trial_tap_contraction(self, omega0, seed):
+        # the (trials, M, L, T) draw contracted with e^{-j omega0 t} per tap,
+        # the formula the stacked random_error + eval_at replaces
+        sys = example1()
+        g = SeededRng(seed).generator()
+        order = sys.A.order
+        taps = complex_normal(g, (300, sys.rows, sys.cols, order + 1), 1e-4)
+        phases = np.exp(-1j * omega0 * np.arange(order + 1))
+        e0 = np.tensordot(taps, phases, axes=(3, 0))
+        want = np.linalg.svd(sys.A.eval(omega0) + e0, compute_uv=False).T
+        got = bin_histogram_trials(sys, omega0, 300, 1e-4, SeededRng(seed))
+        assert np.array_equal(got, want)
 
 
 class TestRicianFit:

@@ -1,10 +1,14 @@
 """Laurent polynomial matrix core: arithmetic, evaluation, predicates."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysvd
 from polysvd import PolyMatrix
 from polysvd.sysgen import SeededRng, bigsys, example1
 
@@ -195,6 +199,31 @@ class TestEval:
             rhs = a.eval(om) @ b.eval(om)
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
+    def test_eval_at_shape_and_eval(self):
+        a = random_polymat(2, 3, 4, -2)
+        omegas = [0.0, 0.3, np.pi]
+        vals = a.eval_at(omegas)
+        assert vals.shape == (3, 2, 3)
+        for om, v in zip(omegas, vals):
+            assert np.abs(a.eval(om) - v).max() <= 1e-12 * np.abs(a.coeffs).sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_eval_at_matches_per_tap_sum(self, data):
+        # off-grid frequencies against sum_t A[t] e^{-j omega (n_min + t)}
+        n_taps = data.draw(st.integers(1, 12), label="n_taps")
+        n_min = data.draw(st.integers(-8, 8), label="n_min")
+        omegas = data.draw(st.lists(st.floats(-2 * np.pi, 4 * np.pi), min_size=1,
+                                    max_size=5), label="omegas")
+        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), n_taps)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = PolyMatrix(c, n_min).eval_at(omegas)
+        for om, g in zip(omegas, got):
+            want = sum(c[:, :, t] * np.exp(-1j * om * (n_min + t))
+                       for t in range(n_taps))
+            assert np.abs(g - want).max() <= 1e-12 * (1.0 + np.abs(c).sum())
+
 
 class TestEvalGrid:
     def test_single_bin(self):
@@ -220,8 +249,7 @@ class TestEvalGrid:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_direct_property(self, data):
-        # K on both sides of n_taps: below it the grid is the direct
-        # contraction itself, at or above it the FFT path
+        # K on both sides of n_taps: below it the taps wrap around the grid
         n_taps = data.draw(st.integers(1, 12), label="n_taps")
         n_min = data.draw(st.integers(-8, 8), label="n_min")
         n_bins = data.draw(
@@ -235,7 +263,7 @@ class TestEvalGrid:
         c = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         a = PolyMatrix(c, n_min)
         g = a.eval_grid(n_bins)
-        direct = a._eval_many(2.0 * np.pi * np.arange(n_bins) / n_bins)
+        direct = a.eval_at(2.0 * np.pi * np.arange(n_bins) / n_bins)
         assert g.shape == (n_bins,) + shape[:2]
         assert np.abs(g - direct).max() <= 1e-12 * (1.0 + np.abs(c).sum())
         if n_bins >= n_taps:
@@ -246,18 +274,56 @@ class TestEvalGrid:
     def test_bigsys_k4096_matches_direct(self):
         a = bigsys(SeededRng(1)).A
         g = a.eval_grid(4096)
-        direct = a._eval_many(2.0 * np.pi * np.arange(4096) / 4096)
+        direct = a.eval_at(2.0 * np.pi * np.arange(4096) / 4096)
         assert np.abs(g - direct).max() <= 1e-12 * (1.0 + np.abs(a.coeffs).sum())
         for k in (0, 1, 1000, 2048, 4095):
             assert np.abs(g[k] - a.eval(2 * np.pi * k / 4096)).max() < 1e-12
 
+    @pytest.mark.parametrize("n_bins", [7, 8, 64])
+    def test_causal_grid_is_zero_padded_fft(self, n_bins):
+        # n_min = 0 and K >= n_taps: no tap wraps, so the fold is a zero pad
+        a = random_polymat(3, 2, 7, 0)
+        want = np.fft.fft(np.moveaxis(a.coeffs, 2, 0), n=n_bins, axis=0)
+        assert np.array_equal(a.eval_grid(n_bins), want)
+
     def test_offset_reduced_modulo_grid(self):
-        # z^{-n_min} on the grid depends on n_min mod K only; the phase is
-        # formed from that residue, so a huge offset gives the same bits
+        # z^{-n_min} on the grid depends on n_min mod K only; the fold uses
+        # that residue, so a huge offset gives the same bits
         a = random_polymat(2, 2, 5, 3)
         far = PolyMatrix(a.coeffs, 3 + 4096 * 2**40)
         assert np.array_equal(far.eval_grid(4096), a.eval_grid(4096))
         assert np.array_equal(a.shifted(-4096).eval_grid(4096), a.eval_grid(4096))
+
+
+def _transform_call_sites():
+    """'module.function' around every np.fft.* and np.tensordot call."""
+    sites = []
+    for path in sorted(Path(polysvd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "numpy" in (node.module or ""):
+                names = [a.name for a in node.names]
+                assert "fft" not in node.module and "fft" not in names, path.name
+                assert "tensordot" not in names, path.name
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Call):
+                    name = ast.unparse(child.func)
+                    if name.startswith("np.fft.") or name == "np.tensordot":
+                        sites.append(".".join([path.stem] + scope))
+                visit(child, scope)
+
+        visit(tree, [])
+    return sites
+
+
+def test_eval_grid_and_eval_at_are_the_only_evaluators():
+    assert sorted(_transform_call_sites()) == [
+        "polymat.PolyMatrix.eval_at", "polymat.PolyMatrix.eval_grid"]
 
 
 def _draw_polymat(data, rows, cols, label):
@@ -380,3 +446,13 @@ class TestJson:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             PolyMatrix.from_json_dict({"M": 2, "L": 2, "n_min": 0, "coeffs": [[[1.0]]]})
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_min", -0.5), ("n_min", "-1"), ("n_min", True), ("n_min", None),
+        ("M", 2.0), ("L", "2"),
+    ])
+    def test_non_integer_header_rejected(self, key, value):
+        d = ex1_matrix().to_json_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=key):
+            PolyMatrix.from_json_dict(d)
