@@ -9,12 +9,22 @@ transposition, products, energy) lives here.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Coefficients at or below this magnitude are considered numerical debris
 # when trimming assembled products; well below experiment noise floors,
 # above double-precision convolution error for the orders used here (<= ~30).
 TRIM_TOL = 1e-12
+
+
+def _power(value) -> int:
+    """A power offset as an int; Python and numpy integers only."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"power offset must be an integer, got {value!r}") from None
 
 
 class PolyMatrix:
@@ -36,7 +46,7 @@ class PolyMatrix:
             raise ValueError("non-finite coefficient")
         c.setflags(write=False)
         self._coeffs = c
-        self._n_min = int(n_min)
+        self._n_min = _power(n_min)
 
     # -- constructors -------------------------------------------------
 
@@ -152,7 +162,7 @@ class PolyMatrix:
 
     def shifted(self, power: int) -> "PolyMatrix":
         """Multiply by z^{-power}: same taps, offset shifted."""
-        return PolyMatrix(self._coeffs, self._n_min + power)
+        return PolyMatrix(self._coeffs, self._n_min + _power(power))
 
     def parahermitian(self) -> "PolyMatrix":
         """Parahermitian transpose A^P(z) = A^H(1/z*).
@@ -166,7 +176,13 @@ class PolyMatrix:
 
     def eval_at(self, omegas) -> np.ndarray:
         """A(e^{j omega}) = sum_n A[n] e^{-j omega n} (the z^{-n} convention)
-        at each omega of a sequence, as a (len(omegas), M, L) array."""
+        at each omega of a sequence, as a (len(omegas), M, L) array.
+
+        One product over all the omegas, whose BLAS path depends on their
+        count, so a frequency's value can differ in the last bits with the
+        other frequencies in the call (eval(omega) is not bitwise
+        eval_at([..., omega, ...]) at that omega).
+        """
         powers = self._n_min + np.arange(self.n_taps)
         phases = np.exp(-1j * np.outer(omegas, powers))  # (K, T)
         return np.tensordot(phases, np.moveaxis(self._coeffs, 2, 0), axes=(1, 0))

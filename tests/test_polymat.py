@@ -1,6 +1,7 @@
 """Laurent polynomial matrix core: arithmetic, evaluation, predicates."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,18 @@ class TestConstruction:
         a = ex1_matrix()
         with pytest.raises(ValueError):
             a.coeffs[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("offset", [-0.5, 1.7, 2.0, "3", None])
+    def test_rejects_non_integer_offset(self, offset):
+        # no truncation: the offset is an integer or an error naming it
+        with pytest.raises(TypeError, match=re.escape(repr(offset))):
+            PolyMatrix(np.ones((1, 1, 2)), offset)
+        with pytest.raises(TypeError, match=re.escape(repr(offset))):
+            ex1_matrix().shifted(offset)
+
+    def test_numpy_integer_offset(self):
+        a = PolyMatrix(np.ones((1, 1, 2)), np.int64(-3)).shifted(np.int32(5))
+        assert a.n_min == 2 and type(a.n_min) is int
 
     def test_zero_representation(self):
         z = PolyMatrix.zeros(2, 3)

@@ -1,13 +1,16 @@
 """Simulation, Wiener least-squares identification, MSE decomposition."""
 
+import ast
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polysvd
 from polysvd import (
     PolyMatrix,
     SeededRng,
@@ -21,7 +24,7 @@ from polysvd import (
 )
 from polysvd import sysid
 from polysvd.sysgen import GroundTruthSystem
-from polysvd.sysid import SignalFrame, _convolve, _regressor_blocks, _stacked_correlations
+from polysvd.sysid import SignalFrame, _convolve, _stacked_correlations, _windows
 
 
 def system_from(a: PolyMatrix) -> GroundTruthSystem:
@@ -45,7 +48,7 @@ class TestCausalVersion:
 
 @contextmanager
 def small_budget(data):
-    """Shrink the regressor block budget to a drawn size, so short records
+    """Shrink the window block budget to a drawn size, so short records
     span several blocks with a ragged last one."""
     budget = data.draw(st.one_of(st.integers(1, 64), st.just(sysid._BLOCK_ENTRIES)),
                        label="block entries")
@@ -54,30 +57,51 @@ def small_budget(data):
         yield
 
 
+@contextmanager
+def drawn_phases(data):
+    """Set the samples per polyphase group to a drawn count, so groups
+    straddle the block and record edges in every alignment."""
+    phases = data.draw(st.one_of(st.integers(1, 9), st.just(sysid._PHASES)),
+                       label="phases")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysid, "_PHASES", phases)
+        yield
+
+
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-class TestRegressorBlocks:
-    @settings(max_examples=100, deadline=None)
+class TestWindows:
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_blocks_tile_the_zero_padded_stack(self, data):
+    def test_windows_are_zero_padded_time_major_slices(self, data):
         n_src = data.draw(st.integers(1, 4), label="L")
-        n_taps = data.draw(st.integers(1, 8), label="T")
+        back = data.draw(st.integers(0, 8), label="back")
         n = data.draw(st.integers(1, 60), label="N")
         start = data.draw(st.integers(0, n), label="start")
+        stop = data.draw(st.integers(start, n), label="stop")
         x = random_complex(np.random.default_rng(n), n_src, n)
-        padded = np.concatenate([np.zeros((n_src, n_taps - 1)), x], axis=1)
-        ref = np.concatenate([padded[:, n_taps - 1 - t : n_taps - 1 - t + n]
-                              for t in range(n_taps)])
-        with small_budget(data):
-            width = max(1, sysid._BLOCK_ENTRIES // (n_taps * n_src))
-            b_prev = start
-            for b0, b1, phi in _regressor_blocks(x, n_taps, start, n):
-                assert b0 == b_prev and 0 < b1 - b0 <= width
-                assert np.array_equal(phi, ref[:, b0:b1])
-                b_prev = b1
-        assert b_prev == n
+        with small_budget(data), drawn_phases(data):
+            phases, budget = sysid._PHASES, sysid._BLOCK_ENTRIES
+            row = (phases + back) * n_src
+            groups = max(1, budget // row)
+            # x[:, n] sits at column n + back, with zeros past both ends
+            padded = np.concatenate(
+                [np.zeros((n_src, back)), x, np.zeros((n_src, phases))], axis=1)
+            n_prev = start
+            for n0, n1, win in _windows(x, back, start, stop):
+                assert n0 == n_prev and 0 < n1 - n0 <= groups * phases
+                assert n1 == stop or n1 - n0 == groups * phases
+                assert win.shape == (-(-(n1 - n0) // phases), row)
+                assert win.size <= max(budget, row)
+                assert not win.flags.writeable
+                for g in range(win.shape[0]):
+                    c = n0 + g * phases
+                    want = padded[:, c : c + phases + back].T.ravel()
+                    assert np.array_equal(win[g], want)
+                n_prev = n1
+        assert n_prev == stop
 
 
 def convolve_reference(a, x):
@@ -104,7 +128,7 @@ class TestConvolve:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         a = PolyMatrix(random_complex(rng, n_out, n_src, n_taps), n_min)
         x = random_complex(rng, n_src, n)
-        with small_budget(data):
+        with small_budget(data), drawn_phases(data):
             y = _convolve(a, x)
         ref = convolve_reference(a, x)
         assert y.shape == (n_out, n)
@@ -115,6 +139,30 @@ class TestConvolve:
     def test_rejects_noncausal(self):
         with pytest.raises(ValueError, match="causal"):
             _convolve(PolyMatrix(np.ones((1, 1, 2)), -1), np.ones((1, 5)))
+
+    def test_memory_is_output_plus_blocks(self):
+        # beyond its output, each call may hold window blocks but no N-length
+        # copy of x (4.8 MB here, against a slack of 2.1 MB); no noise, so the
+        # output of simulate is the frame itself
+        from polysvd.sysid import WienerEstimate
+
+        sys = bigsys(SeededRng(3))
+        n = 50000
+        truth, _ = causal_version(sys.A)
+        est = WienerEstimate(A_hat=truth, J_hat=truth.order, regularization=0.0)
+        slack = 16 * 2 * sysid._BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            frame = simulate(sys, n, 0.0, SeededRng(3, stream=1))
+            simulate_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mse_decomposition(frame, est, sys)
+            mse_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert simulate_peak <= frame.x.nbytes + frame.y.nbytes + slack
+        assert mse_peak <= frame.y.nbytes + slack
 
 
 class TestSimulate:
@@ -181,7 +229,7 @@ class TestStackedCorrelations:
         x = sx * (rng.standard_normal((n_src, n)) + 1j * rng.standard_normal((n_src, n)))
         y = sy * (rng.standard_normal((n_out, n)) + 1j * rng.standard_normal((n_out, n)))
         frame = SignalFrame(x=x, y=y, sigma2_v=0.0, n_samples=n)
-        with small_budget(data):
+        with small_budget(data), drawn_phases(data):
             r_xx, r_yx = _stacked_correlations(frame, j_hat)
         ref_xx, ref_yx = stacked_gram(frame, j_hat)
         ax, ay = np.abs(x).max(), np.abs(y).max()
@@ -373,3 +421,35 @@ class TestMseDecomposition:
         est = wiener_estimate(frame, 2)
         rep = mse_decomposition(frame, est, sys)
         assert rep.decomposition_gap / rep.xi_mse <= 0.1
+
+
+def _window_call_sites():
+    """('module.function', writeable=False given) for every as_strided and
+    sliding_window_view call in the package."""
+    sites = []
+    for path in sorted(Path(polysvd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "stride" in (node.module or ""):
+                assert all(a.asname is None for a in node.names), path.name
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Call):
+                    name = ast.unparse(child.func).rsplit(".", 1)[-1]
+                    if name in ("as_strided", "sliding_window_view"):
+                        read_only = any(
+                            kw.arg == "writeable" and isinstance(kw.value, ast.Constant)
+                            and kw.value.value is False for kw in child.keywords)
+                        sites.append((".".join([path.stem] + scope), read_only))
+                visit(child, scope)
+
+        visit(tree, [])
+    return sites
+
+
+def test_windows_is_the_only_strided_view():
+    assert _window_call_sites() == [("sysid._windows", True)]
