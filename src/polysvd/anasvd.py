@@ -422,14 +422,18 @@ def diagnostics(traj: SvTrajectories) -> DiagnosticsReport:
 
 def track_deviation(values: np.ndarray, reference: np.ndarray) -> float:
     """Max deviation of tracks from reference tracks, both (R, K), minimized
-    over track permutation and per-track global sign.
+    over track permutation and per-track global sign.  Raises ValueError
+    unless both have the same (R, K) shape.
 
     cost[p, m] is the smaller sup deviation of track p or of its negation
     from reference m; the result is the minimum over permutations of the
     largest cost[perm[m], m].
     """
-    v = np.asarray(values)[:, None, :]
-    f = np.asarray(reference)[None, :, :]
+    values, reference = np.asarray(values), np.asarray(reference)
+    if values.ndim != 2 or values.shape != reference.shape:
+        raise ValueError(f"tracks of shape {values.shape} do not match "
+                         f"reference tracks of shape {reference.shape}")
+    v, f = values[:, None, :], reference[None, :, :]
     cost = np.minimum(np.abs(v - f).max(axis=2), np.abs(v + f).max(axis=2))
     r = cost.shape[0]
     perms = np.array(list(itertools.permutations(range(r))))

@@ -199,71 +199,10 @@ def _ive(nu: int, x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def _i0e(x: float) -> float:
-    return _ive(0, x)
-
-
-def _i1e(x: float) -> float:
-    return _ive(1, x)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method: secant or inverse quadratic
-    steps where they shrink the bracket fast enough, bisection otherwise.
-
-    The step choice, the tolerance delta = (xtol + rtol |x|) / 2 and the exit
-    tests follow the widely used C ``brentq`` port of Brent's ``zero``
-    operation for operation, so it returns the same float as that port.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError("root find did not converge in 100 iterations")
-
-
 def _rician_mean_factor(theta: float) -> float:
     # E[X]/s for theta = nu/s, via exponentially scaled Bessel functions
     a = 0.25 * theta * theta
-    return _SQRT_HALF_PI * ((1.0 + 2.0 * a) * _i0e(a) + 2.0 * a * _i1e(a))
+    return _SQRT_HALF_PI * ((1.0 + 2.0 * a) * _ive(0, a) + 2.0 * a * _ive(1, a))
 
 
 def _rician_var_factor(theta: float) -> float:
@@ -274,14 +213,19 @@ def _rician_var_factor(theta: float) -> float:
 def rician_fit(samples) -> RicianFit:
     """Fit a Rician distribution by matching sample mean and variance.
 
-    The variance-to-squared-mean ratio pins theta = nu/s through a scalar
-    root find; the scale follows from the mean.  Sample ratios at or above
-    the Rayleigh limit (4 - pi)/pi yield the degenerate nu = 0 fit with the
-    mean matched and the variance mismatch reported in the residual.
+    The variance-to-squared-mean ratio pins theta = nu/s as the root of a
+    decreasing gap function: hi doubles from 1 until the gap turns
+    nonpositive, then bisection halves [0, hi] until its width is at most
+    1e-13 + 8.9e-16 hi, and theta is the bracket's midpoint.  The scale
+    follows from the mean.  Sample ratios at or above the Rayleigh limit
+    (4 - pi)/pi yield the degenerate nu = 0 fit with the mean matched and
+    the variance mismatch reported in the residual.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 100:
         raise ValueError("need at least 100 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     if np.any(x < 0):
         raise ValueError("samples must be nonnegative")
     m1 = float(x.mean())
@@ -303,7 +247,14 @@ def rician_fit(samples) -> RicianFit:
             hi *= 2.0
             if hi > 1e12:
                 raise ValueError("sample ratio out of the Rician range")
-        theta = _brentq(gap, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+        lo = 0.0
+        while hi - lo > 1e-13 + 8.9e-16 * hi:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
         s = m1 / _rician_mean_factor(theta)
     nu = theta * s
     residual = abs(s * _rician_mean_factor(theta) - m1) + abs(

@@ -29,7 +29,8 @@ from .sysgen import GroundTruthSystem, as_generator, complex_normal
 
 # Window entries of one block: 2**16 complex entries (1 MiB) keep each block
 # GEMM in cache whatever the window length, where a fixed group count would
-# make the blocks of a few-tap system needlessly narrow
+# make the blocks of a few-tap system needlessly narrow; simulate draws its
+# noise in blocks of the same size
 _BLOCK_ENTRIES = 1 << 16
 
 # Samples per polyphase group P: each GEMM row carries P consecutive
@@ -143,9 +144,13 @@ def _convolve(a: PolyMatrix, x: np.ndarray) -> np.ndarray:
 def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> SignalFrame:
     """Drive the (causally delayed) system with CN(0, 1) sources.
 
-    Additive noise is spatially and temporally white CN(0, sigma2_v).
+    Additive noise is spatially and temporally white CN(0, sigma2_v), drawn
+    into y in row-major blocks of _BLOCK_ENTRIES samples, so it takes no
+    temporary as large as y and equals one (M, N) draw bit for bit.
     Requires n_samples to exceed the system order.
     """
+    if not 0.0 <= sigma2_v < np.inf:
+        raise ValueError(f"sigma2_v = {sigma2_v} must be finite and >= 0")
     a_causal, _ = causal_version(sys.A)
     if n_samples <= a_causal.order:
         raise ValueError(f"n_samples = {n_samples} must exceed the system "
@@ -154,7 +159,10 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     x = complex_normal(g, (a_causal.cols, n_samples), 1.0)
     y = _convolve(a_causal, x)
     if sigma2_v > 0:
-        y += complex_normal(g, (a_causal.rows, n_samples), sigma2_v)
+        flat = y.reshape(-1)
+        for i in range(0, flat.size, _BLOCK_ENTRIES):
+            blk = flat[i : i + _BLOCK_ENTRIES]
+            blk += complex_normal(g, blk.shape, sigma2_v)
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v), n_samples=n_samples)
 
 

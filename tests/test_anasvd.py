@@ -481,6 +481,17 @@ class TestTrackDeviation:
         assert type(got) is float
         assert got == permutation_loop_deviation(values, reference)
 
+    @pytest.mark.parametrize("values_shape, reference_shape", [
+        ((2, 8), (3, 8)),   # a reference track left unmatched
+        ((3, 8), (2, 8)),   # a track with no reference
+        ((3, 8), (3, 1)),   # a reference that would broadcast over K
+    ])
+    def test_shape_mismatch_rejected(self, values_shape, reference_shape):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="do not match"):
+            track_deviation(rng.standard_normal(values_shape),
+                            rng.standard_normal(reference_shape))
+
 
 class TestCsv:
     def test_header_and_rows(self):

@@ -23,7 +23,7 @@ from polysvd import (
     wiener_estimate,
 )
 from polysvd import sysid
-from polysvd.sysgen import GroundTruthSystem
+from polysvd.sysgen import GroundTruthSystem, complex_normal
 from polysvd.sysid import SignalFrame, _convolve, _stacked_correlations, _windows
 
 
@@ -141,9 +141,9 @@ class TestConvolve:
             _convolve(PolyMatrix(np.ones((1, 1, 2)), -1), np.ones((1, 5)))
 
     def test_memory_is_output_plus_blocks(self):
-        # beyond its output, each call may hold window blocks but no N-length
-        # copy of x (4.8 MB here, against a slack of 2.1 MB); no noise, so the
-        # output of simulate is the frame itself
+        # beyond its output (the frame, for simulate), each call may hold
+        # window or noise blocks but no N-length copy of x or (M, N) noise
+        # draw (4.8 MB each here, against a slack of 2.1 MB)
         from polysvd.sysid import WienerEstimate
 
         sys = bigsys(SeededRng(3))
@@ -151,18 +151,19 @@ class TestConvolve:
         truth, _ = causal_version(sys.A)
         est = WienerEstimate(A_hat=truth, J_hat=truth.order, regularization=0.0)
         slack = 16 * 2 * sysid._BLOCK_ENTRIES
-        tracemalloc.start()
-        try:
-            frame = simulate(sys, n, 0.0, SeededRng(3, stream=1))
-            simulate_peak = tracemalloc.get_traced_memory()[1]
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            mse_decomposition(frame, est, sys)
-            mse_peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert simulate_peak <= frame.x.nbytes + frame.y.nbytes + slack
-        assert mse_peak <= frame.y.nbytes + slack
+        for sigma2_v in (0.0, 0.01):
+            tracemalloc.start()
+            try:
+                frame = simulate(sys, n, sigma2_v, SeededRng(3, stream=1))
+                simulate_peak = tracemalloc.get_traced_memory()[1]
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                mse_decomposition(frame, est, sys)
+                mse_peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert simulate_peak <= frame.x.nbytes + frame.y.nbytes + slack, sigma2_v
+            assert mse_peak <= frame.y.nbytes + slack, sigma2_v
 
 
 class TestSimulate:
@@ -199,6 +200,47 @@ class TestSimulate:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError, match="n_samples = 2 .* order 2"):
             simulate(example1(), 2, 0.0, SeededRng(3))
+
+    @pytest.mark.parametrize("sigma2_v", [-0.5, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_noise_variance(self, sigma2_v):
+        with pytest.raises(ValueError, match="sigma2_v .* finite and >= 0"):
+            simulate(example1(), 100, sigma2_v, SeededRng(3))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_blocked_noise_equals_one_draw_property(self, data):
+        # noise drawn block by block into y is bitwise the one-shot
+        # y = convolution + CN(0, sigma2_v) draw of shape (M, N), and leaves
+        # the stream where that draw does
+        dims = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="M, L")
+        taps = data.draw(st.integers(1, 4), label="taps")
+        n = data.draw(st.integers(taps, 300), label="N")
+        sigma2_v = data.draw(st.sampled_from([1e-6, 0.01, 1.0, 3.0]), label="sigma2_v")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        coeffs = random_complex(np.random.default_rng(seed), *dims, taps)
+        sys = system_from(PolyMatrix(coeffs, 0))
+        with small_budget(data):
+            g = np.random.default_rng(seed)
+            frame = simulate(sys, n, sigma2_v, g)
+            ref = np.random.default_rng(seed)
+            x = complex_normal(ref, (dims[1], n), 1.0)
+            y = _convolve(sys.A, x)
+            y += complex_normal(ref, (dims[0], n), sigma2_v)
+        assert np.array_equal(frame.x, x)
+        assert np.array_equal(frame.y, y)
+        assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
+
+    def test_blocked_noise_equals_one_draw_at_full_budget(self):
+        # example1 at N = 10^5: several full noise blocks and a ragged last one
+        sys = example1()
+        g, ref = np.random.default_rng(8), np.random.default_rng(8)
+        frame = simulate(sys, 100003, 0.01, g)
+        x = complex_normal(ref, (2, 100003), 1.0)
+        y = _convolve(causal_version(sys.A)[0], x)
+        y += complex_normal(ref, (2, 100003), 0.01)
+        assert y.size > 3 * sysid._BLOCK_ENTRIES
+        assert np.array_equal(frame.y, y)
+        assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
 
 
 def stacked_gram(frame, j_hat):
