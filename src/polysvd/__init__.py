@@ -52,47 +52,3 @@ from .sysid import (
     simulate,
     wiener_estimate,
 )
-
-__all__ = [
-    "PolyMatrix",
-    "TRIM_TOL",
-    "SvdResult",
-    "svd",
-    "AssociationAmbiguous",
-    "BinwiseSvd",
-    "DiagnosticsReport",
-    "SvTrajectories",
-    "binwise_svd",
-    "diagnostics",
-    "majorized_trajectories",
-    "smooth_trajectories",
-    "track_deviation",
-    "GroundTruthSystem",
-    "SeededRng",
-    "assemble",
-    "bigsys",
-    "elementary_pu",
-    "example1",
-    "random_paraunitary",
-    "random_parahermitian_scalar",
-    "reference_tracks",
-    "PerturbConfig",
-    "RicianFit",
-    "StewartCheck",
-    "TrialResult",
-    "bin_histogram_trials",
-    "normalized_variance",
-    "perturb_and_analyze",
-    "random_error",
-    "rician_fit",
-    "scale_to_normalized",
-    "stewart_bounds",
-    "MseReport",
-    "SignalFrame",
-    "WienerEstimate",
-    "causal_version",
-    "error_system",
-    "mse_decomposition",
-    "simulate",
-    "wiener_estimate",
-]

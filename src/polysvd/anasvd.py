@@ -110,9 +110,9 @@ class DiagnosticsReport:
     """
 
     min_gap: Optional[float]
-    omega_min_gap: Optional[float]
+    omega_gap: Optional[float]
     min_smallest: float
-    omega_min_smallest: float
+    omega_smallest: float
 
 
 def binwise_svd(a: PolyMatrix, n_bins: int, vectors: bool = True) -> BinwiseSvd:
@@ -414,9 +414,9 @@ def diagnostics(traj: SvTrajectories) -> DiagnosticsReport:
         omega_gap = float(traj.omegas[k_gap])
     return DiagnosticsReport(
         min_gap=min_gap,
-        omega_min_gap=omega_gap,
+        omega_gap=omega_gap,
         min_smallest=float(last[k_small]),
-        omega_min_smallest=float(traj.omegas[k_small]),
+        omega_smallest=float(traj.omegas[k_small]),
     )
 
 

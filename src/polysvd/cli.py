@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical tolerance failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys as _sys
 from pathlib import Path
@@ -148,8 +149,7 @@ def cmd_hist(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"hist: cannot fit index {m + 1}: {exc}", file=_sys.stderr)
             return EXIT_USAGE
-        fits.append({"index": m + 1, "nu": fit.nu, "s": fit.s,
-                     "residual": fit.residual, "n": fit.n_samples})
+        fits.append({"index": m + 1, **dataclasses.asdict(fit)})
     n_index, n_trials = samples.shape
     columns = {"trial": np.repeat(np.arange(n_trials), n_index),
                "index": np.tile(np.arange(1, n_index + 1), n_trials),
@@ -190,14 +190,8 @@ def cmd_perturb(ns: argparse.Namespace) -> int:
             {
                 kind: level,
                 "trials": [
-                    {
-                        "trial": r.trial,
-                        "min_gap": r.report.min_gap,
-                        "omega_gap": r.report.omega_min_gap,
-                        "min_smallest": r.report.min_smallest,
-                        "omega_smallest": r.report.omega_min_smallest,
-                        "sigma2_norm_actual": r.sigma2_norm_actual,
-                    }
+                    {"trial": r.trial, "sigma2_norm_actual": r.sigma2_norm_actual,
+                     **dataclasses.asdict(r.report)}
                     for r in results
                 ],
             },
@@ -234,10 +228,7 @@ def cmd_sysid(ns: argparse.Namespace) -> int:
             "J_hat": j_hat,
             "delay": delay,
             "sigma2_v": ns.sigma2_v,
-            "xi_mse": report.xi_mse,
-            "error_energy": report.error_energy,
-            "noise_floor": report.noise_floor,
-            "decomposition_gap": report.decomposition_gap,
+            **dataclasses.asdict(report),
             "sigma2_norm": sigma2_norm,
             "regularization": est.regularization,
             "condition": est.condition,
@@ -264,23 +255,24 @@ class _UsageError(Exception):
     pass
 
 
-# dest -> (option strings, add_argument keywords) of every flag
+# dest -> (option strings, least value or None, add_argument keywords) of
+# every flag, in the order _validate checks the least values
 _FLAGS = {
-    "seed": (("--seed",), {"type": int, "default": 0}),
-    "n_bins": (("--bins", "-K"), {"type": int, "default": 4096}),
-    "trials": (("--trials",), {"type": int, "default": 1}),
-    "sigma2_norm": (("--sigma2-norm",), {
+    "n_bins": (("--bins", "-K"), 1, {"type": int, "default": 4096}),
+    "trials": (("--trials",), 1, {"type": int, "default": 1}),
+    "n_samples": (("--N",), 1, {"type": int, "default": 100000}),
+    "seed": (("--seed",), 0, {"type": int, "default": 0}),
+    "order": (("--order", "-J"), 0, {
+        "type": int, "help": "error/estimate order (default: system order)"}),
+    "sigma2_e": (("--sigma2-e",), 0, {
+        "type": float, "help": "per-coefficient complex error variance"}),
+    "sigma2_v": (("--sigma2-v",), 0, {"type": float, "default": 0.01}),
+    "sigma2_norm": (("--sigma2-norm",), 0, {
         "type": float, "action": "append",
         "help": "target normalized error variance (repeatable)"}),
-    "sigma2_e": (("--sigma2-e",), {
-        "type": float, "help": "per-coefficient complex error variance"}),
-    "n_samples": (("--N",), {"type": int, "default": 100000}),
-    "sigma2_v": (("--sigma2-v",), {"type": float, "default": 0.01}),
-    "order": (("--order", "-J"), {
-        "type": int, "help": "error/estimate order (default: system order)"}),
-    "out_dir": (("--out",), {"default": "out"}),
-    "fmt": (("--format",), {"choices": ("csv", "json"), "default": "csv"}),
-    "fixture": (("--fixture",), {
+    "out_dir": (("--out",), None, {"default": "out"}),
+    "fmt": (("--format",), None, {"choices": ("csv", "json"), "default": "csv"}),
+    "fixture": (("--fixture",), None, {
         "help": "polynomial-matrix JSON replacing the built-in fixture"}),
 }
 
@@ -306,15 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_, dests, defaults) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         for dest in dests:
-            options, kwargs = _FLAGS[dest]
+            options, _, kwargs = _FLAGS[dest]
             sp.add_argument(*options, dest=dest, **kwargs)
         sp.set_defaults(**defaults)
     return p
 
 
 def _validate(ns: argparse.Namespace) -> None:
-    """Reject out-of-range values of the flags ``ns`` holds; fill in the
-    default ``perturb`` levels."""
+    """Reject out-of-range values of the flags ``ns`` holds: the rules that
+    span flags, then each value below its least in ``_FLAGS``, then file-tag
+    collisions; fill in the default ``perturb`` levels."""
     args = vars(ns)
     if ns.subcommand == "perturb":
         if ns.sigma2_norm is None and ns.sigma2_e is None:
@@ -323,19 +316,15 @@ def _validate(ns: argparse.Namespace) -> None:
             raise _UsageError("--sigma2-norm and --sigma2-e are mutually exclusive")
     if ns.subcommand == "hist" and ns.trials < 100:
         raise _UsageError("hist requires --trials >= 100")
-    for flag, name in (("--bins", "n_bins"), ("--trials", "trials"),
-                       ("--N", "n_samples")):
-        if name in args and args[name] < 1:
-            raise _UsageError(f"{flag} must be >= 1")
-    nonnegative = [(flag, args.get(name)) for flag, name in (
-        ("--seed", "seed"), ("--order", "order"), ("--sigma2-e", "sigma2_e"),
-        ("--sigma2-v", "sigma2_v"))]
-    nonnegative += [("--sigma2-norm", v) for v in args.get("sigma2_norm") or ()]
-    for flag, value in nonnegative:
-        if value is not None and not np.isfinite(value):
-            raise _UsageError(f"{flag} must be finite")
-        if value is not None and value < 0:
-            raise _UsageError(f"{flag} must be >= 0")
+    for dest, (options, least, _) in _FLAGS.items():
+        value = args.get(dest)
+        if least is None or value is None:
+            continue
+        for v in value if isinstance(value, list) else (value,):
+            if isinstance(v, float) and not np.isfinite(v):
+                raise _UsageError(f"{options[0]} must be finite")
+            if v < least:
+                raise _UsageError(f"{options[0]} must be >= {least}")
     seen = {}
     for level in args.get("sigma2_norm") or ():
         tag = _level_tag("sigma2_norm", level)

@@ -63,13 +63,13 @@ class RicianFit:
 
     nu is the noncentrality, s the per-component scale; residual is the
     absolute discrepancy of the matched sample moments (mean and variance)
-    under the fitted parameters.
+    under the fitted parameters; n is the number of samples.
     """
 
     nu: float
     s: float
     residual: float
-    n_samples: int
+    n: int
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,11 @@ def rician_fit(samples) -> RicianFit:
         raise ValueError("samples must be finite")
     if np.any(x < 0):
         raise ValueError("samples must be nonnegative")
-    m1 = float(x.mean())
-    var = float(x.var())
+    with np.errstate(over="ignore"):
+        m1 = float(x.mean())
+        var = float(x.var())
+    if not (np.isfinite(m1) and np.isfinite(var)):
+        raise ValueError("sample mean and variance must be finite")
     if var <= 0.0 or m1 <= 0.0:
         raise ValueError("degenerate samples: no spread to fit")
     rho = var / (m1 * m1)
@@ -261,7 +264,7 @@ def rician_fit(samples) -> RicianFit:
         s * s * _rician_var_factor(theta) - var
     )
     return RicianFit(nu=float(nu), s=float(s), residual=float(residual),
-                     n_samples=int(x.size))
+                     n=int(x.size))
 
 
 def stewart_bounds(a_bin, e_bin, m: int) -> StewartCheck:

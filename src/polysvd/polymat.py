@@ -242,13 +242,8 @@ class PolyMatrix:
 
     def to_json_dict(self) -> dict:
         """JSON form: {M, L, n_min, coeffs: T taps of MxL [re, im] pairs}."""
-        taps = [
-            [
-                [[float(v.real), float(v.imag)] for v in row]
-                for row in self._coeffs[:, :, t]
-            ]
-            for t in range(self.n_taps)
-        ]
+        c = np.moveaxis(self._coeffs, 2, 0)
+        taps = np.stack([c.real, c.imag], axis=-1).tolist()
         return {"M": self.rows, "L": self.cols, "n_min": self._n_min, "coeffs": taps}
 
     @classmethod

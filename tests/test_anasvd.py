@@ -402,8 +402,8 @@ class TestDiagnostics:
         # tracks intersect and the smallest crosses zero; grid-limited
         assert 0.0 <= d.min_gap <= 1e-2
         assert 0.0 <= d.min_smallest <= 1e-2
-        assert min(abs(d.omega_min_smallest - 0.0), abs(d.omega_min_smallest - np.pi),
-                   abs(d.omega_min_smallest - 2 * np.pi)) < 0.05
+        assert min(abs(d.omega_smallest - 0.0), abs(d.omega_smallest - np.pi),
+                   abs(d.omega_smallest - 2 * np.pi)) < 0.05
 
     def test_perturbed_strictly_positive(self):
         rng = np.random.default_rng(3)
@@ -419,7 +419,7 @@ class TestDiagnostics:
     def test_single_track_system(self):
         a = PolyMatrix(np.array([0.25, 1, 0.25], dtype=complex).reshape(1, 1, 3), -1)
         d = diagnostics(majorized_trajectories(binwise_svd(a, 64)))
-        assert d.min_gap is None and d.omega_min_gap is None
+        assert d.min_gap is None and d.omega_gap is None
         assert d.min_smallest == pytest.approx(0.5, abs=1e-3)
 
     def test_requires_majorized_mode(self):

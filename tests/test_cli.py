@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import ast
+import dataclasses
 import inspect
 import json
 
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from polysvd import (
+    DiagnosticsReport,
+    MseReport,
     PolyMatrix,
+    RicianFit,
     SeededRng,
     bin_histogram_trials,
     binwise_svd,
@@ -285,7 +289,65 @@ class TestSysid:
         assert not out.exists()
 
 
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("command, args, output, entries, keys", [
+    ("perturb", ["--bins", "16", "--trials", "2"], "perturb_diag_s2n_0p3.json",
+     "trials", {"trial", "sigma2_norm_actual"} | _field_names(DiagnosticsReport)),
+    ("hist", ["--trials", "100"], "hist_fits.json",
+     "fits", {"index"} | _field_names(RicianFit)),
+], ids=["perturb", "hist"])
+def test_entries_carry_the_result_fields(tmp_path, command, args, output, entries,
+                                         keys):
+    out = tmp_path / "o"
+    assert run([command, "--out", str(out), *args]) == EXIT_OK
+    listed = json.loads((out / output).read_text())[entries]
+    assert listed and all(set(entry) == keys for entry in listed)
+
+
+def test_sysid_report_carries_the_mse_fields(tmp_path):
+    out = tmp_path / "o"
+    assert run(["sysid", "--N", "2000", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "sysid_report.json").read_text())
+    assert _field_names(MseReport) <= set(report)
+
+
+def _below_least():
+    """(command, flag, value, message) for a value under the least value of
+    each bounded flag of each subcommand, and NaN for each float flag."""
+    for command, (_, dests, _) in cli._SUBCOMMANDS.items():
+        for dest in dests:
+            options, least, kwargs = cli._FLAGS[dest]
+            if least is None:
+                continue
+            flag = options[0]
+            message = ("hist requires --trials >= 100" if (command, flag) ==
+                       ("hist", "--trials") else f"{flag} must be >= {least}")
+            yield command, flag, str(least - 1), message
+            if kwargs["type"] is float:
+                yield command, flag, "nan", f"{flag} must be finite"
+
+
 class TestUsage:
+    @pytest.mark.parametrize("command, flag, value, message", [
+        pytest.param(*case, id="{}{}={}".format(*case[:3])) for case in _below_least()])
+    def test_value_below_least_rejected(self, tmp_path, capsys, command, flag,
+                                        value, message):
+        out = tmp_path / "o"
+        code = run([command, "--out", str(out), flag, value])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_seed_beyond_int64_runs(self, tmp_path):
+        # only float values are tested for finiteness; numpy cannot
+        # test an int this large
+        out = tmp_path / "o"
+        assert run(["sysid", "--N", "100", "--out", str(out),
+                    "--seed", str(2**64)]) == EXIT_OK
+
     def test_unknown_command(self):
         assert run(["bogus"]) == EXIT_USAGE
 

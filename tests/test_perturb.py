@@ -240,13 +240,21 @@ class TestRicianFit:
         z = 1.0 + 0.7 * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
         fit = rician_fit(np.abs(z))
         assert fit.residual < 1e-12
-        assert fit.n_samples == 5000
+        assert fit.n == 5000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         x = np.abs(np.random.default_rng(4).standard_normal(500))
         x[123] = bad
         with pytest.raises(ValueError, match="finite"):
+            rician_fit(x)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-60], ids=["mean", "variance"])
+    def test_overflowing_moments_rejected(self, scale):
+        # finite samples whose sum (scale 1) or squared spread (scale 2^-60)
+        # overflows: the fit used to return inf or a NaN residual
+        x = scale * np.repeat([1e308, 1.7e308], 100)
+        with pytest.raises(ValueError, match="^sample mean and variance must be finite$"):
             rician_fit(x)
 
     @settings(max_examples=60, deadline=None)

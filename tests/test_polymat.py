@@ -393,6 +393,33 @@ class TestEnergy:
         grid_energy = np.sum(np.abs(g) ** 2) / k
         assert grid_energy == pytest.approx(a.frob_energy(), rel=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_parseval_property(self, data):
+        # on K bins tap n lands on bin n mod K, so the grid energy is the
+        # energy of the folded taps; with K >= T nothing folds onto anything
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        n_taps = data.draw(st.integers(1, 12), label="n_taps")
+        n_min = data.draw(st.integers(-8, 8), label="n_min")
+        n_bins = data.draw(
+            st.one_of(st.sampled_from([n_taps - 1, n_taps, n_taps + 1]),
+                      st.integers(1, 64)).filter(lambda k: k >= 1),
+            label="n_bins",
+        )
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (rows, cols, n_taps)
+        a = PolyMatrix(scale * (rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape)), n_min)
+        folded = np.zeros((n_bins, rows, cols), dtype=complex)
+        for t in range(n_taps):
+            folded[(n_min + t) % n_bins] += a.coeffs[:, :, t]
+        grid_energy = np.sum(np.abs(a.eval_grid(n_bins)) ** 2) / n_bins
+        tol = 1e-12 * (1.0 + a.frob_energy())
+        assert abs(grid_energy - np.sum(np.abs(folded) ** 2)) <= tol
+        if n_bins >= n_taps:
+            assert abs(grid_energy - a.frob_energy()) <= tol
+
 
 class TestTrim:
     def test_idempotent(self):

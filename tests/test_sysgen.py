@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysvd import (
     PolyMatrix,
@@ -88,6 +90,16 @@ class TestRandomParaunitary:
             p = random_paraunitary(3, int(rng.integers(0, 8)), SeededRng(int(rng.integers(1e6))))
             q = random_paraunitary(3, int(rng.integers(0, 8)), SeededRng(int(rng.integers(1e6))))
             assert (p @ q).is_paraunitary(1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 5), order=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 64))
+    def test_paraunitary_property(self, dim, order, seed, n_bins):
+        q = random_paraunitary(dim, order, SeededRng(seed))
+        assert q.is_paraunitary(1e-10)
+        g = q.eval_grid(n_bins)
+        gram = g @ np.conj(np.swapaxes(g, 1, 2))
+        assert np.abs(gram - np.eye(dim)).max() <= 1e-12
 
 
 class TestRandomParahermitianScalar:
