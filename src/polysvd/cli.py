@@ -255,24 +255,26 @@ class _UsageError(Exception):
     pass
 
 
-# dest -> (option strings, least value or None, add_argument keywords) of
-# every flag, in the order _validate checks the least values
+# dest -> (option strings, least value or None, greatest value or None,
+# add_argument keywords) of every flag, in the order _validate checks the
+# bounds; a greatest value stops an oversized run before anything is written
 _FLAGS = {
-    "n_bins": (("--bins", "-K"), 1, {"type": int, "default": 4096}),
-    "trials": (("--trials",), 1, {"type": int, "default": 1}),
-    "n_samples": (("--N",), 1, {"type": int, "default": 100000}),
-    "seed": (("--seed",), 0, {"type": int, "default": 0}),
-    "order": (("--order", "-J"), 0, {
+    "n_bins": (("--bins", "-K"), 1, 2**20, {"type": int, "default": 4096}),
+    "trials": (("--trials",), 1, 10**6, {"type": int, "default": 1}),
+    "n_samples": (("--N",), 1, 10**7, {"type": int, "default": 100000}),
+    "seed": (("--seed",), 0, None, {"type": int, "default": 0}),
+    "order": (("--order", "-J"), 0, 1000, {
         "type": int, "help": "error/estimate order (default: system order)"}),
-    "sigma2_e": (("--sigma2-e",), 0, {
+    "sigma2_e": (("--sigma2-e",), 0, None, {
         "type": float, "help": "per-coefficient complex error variance"}),
-    "sigma2_v": (("--sigma2-v",), 0, {"type": float, "default": 0.01}),
-    "sigma2_norm": (("--sigma2-norm",), 0, {
+    "sigma2_v": (("--sigma2-v",), 0, None, {"type": float, "default": 0.01}),
+    "sigma2_norm": (("--sigma2-norm",), 0, None, {
         "type": float, "action": "append",
         "help": "target normalized error variance (repeatable)"}),
-    "out_dir": (("--out",), None, {"default": "out"}),
-    "fmt": (("--format",), None, {"choices": ("csv", "json"), "default": "csv"}),
-    "fixture": (("--fixture",), None, {
+    "out_dir": (("--out",), None, None, {"default": "out"}),
+    "fmt": (("--format",), None, None, {"choices": ("csv", "json"),
+                                        "default": "csv"}),
+    "fixture": (("--fixture",), None, None, {
         "help": "polynomial-matrix JSON replacing the built-in fixture"}),
 }
 
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_, dests, defaults) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         for dest in dests:
-            options, _, kwargs = _FLAGS[dest]
+            options, _, _, kwargs = _FLAGS[dest]
             sp.add_argument(*options, dest=dest, **kwargs)
         sp.set_defaults(**defaults)
     return p
@@ -306,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(ns: argparse.Namespace) -> None:
     """Reject out-of-range values of the flags ``ns`` holds: the rules that
-    span flags, then each value below its least in ``_FLAGS``, then file-tag
-    collisions; fill in the default ``perturb`` levels."""
+    span flags, then each value outside its bounds in ``_FLAGS``, then
+    file-tag collisions; fill in the default ``perturb`` levels."""
     args = vars(ns)
     if ns.subcommand == "perturb":
         if ns.sigma2_norm is None and ns.sigma2_e is None:
@@ -316,7 +318,7 @@ def _validate(ns: argparse.Namespace) -> None:
             raise _UsageError("--sigma2-norm and --sigma2-e are mutually exclusive")
     if ns.subcommand == "hist" and ns.trials < 100:
         raise _UsageError("hist requires --trials >= 100")
-    for dest, (options, least, _) in _FLAGS.items():
+    for dest, (options, least, greatest, _) in _FLAGS.items():
         value = args.get(dest)
         if least is None or value is None:
             continue
@@ -325,6 +327,8 @@ def _validate(ns: argparse.Namespace) -> None:
                 raise _UsageError(f"{options[0]} must be finite")
             if v < least:
                 raise _UsageError(f"{options[0]} must be >= {least}")
+            if greatest is not None and v > greatest:
+                raise _UsageError(f"{options[0]} must be <= {greatest}")
     seen = {}
     for level in args.get("sigma2_norm") or ():
         tag = _level_tag("sigma2_norm", level)

@@ -4,10 +4,15 @@ import ast
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polysvd
 from polysvd import (
     DiagnosticsReport,
     MseReport,
@@ -319,7 +324,7 @@ def _below_least():
     each bounded flag of each subcommand, and NaN for each float flag."""
     for command, (_, dests, _) in cli._SUBCOMMANDS.items():
         for dest in dests:
-            options, least, kwargs = cli._FLAGS[dest]
+            options, least, _, kwargs = cli._FLAGS[dest]
             if least is None:
                 continue
             flag = options[0]
@@ -330,16 +335,42 @@ def _below_least():
                 yield command, flag, "nan", f"{flag} must be finite"
 
 
+def _beyond_greatest():
+    """(command, flag, value, message) for one past the greatest value of
+    each flag of each subcommand that has one, and for 10**30."""
+    for command, (_, dests, _) in cli._SUBCOMMANDS.items():
+        for dest in dests:
+            options, _, greatest, _ = cli._FLAGS[dest]
+            if greatest is None:
+                continue
+            for value in (greatest + 1, 10**30):
+                yield (command, options[0], str(value),
+                       f"{options[0]} must be <= {greatest}")
+
+
+def _assert_rejected(tmp_path, capsys, argv, message):
+    """argv exits 1 with exactly one ``usage error: message`` line and
+    creates no output directory."""
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 class TestUsage:
     @pytest.mark.parametrize("command, flag, value, message", [
         pytest.param(*case, id="{}{}={}".format(*case[:3])) for case in _below_least()])
     def test_value_below_least_rejected(self, tmp_path, capsys, command, flag,
                                         value, message):
-        out = tmp_path / "o"
-        code = run([command, "--out", str(out), flag, value])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"usage error: {message}\n"
-        assert not out.exists()
+        _assert_rejected(tmp_path, capsys, [command, flag, value], message)
+
+    # values past the bounds only: nothing large is allocated
+    @pytest.mark.parametrize("command, flag, value, message", [
+        pytest.param(*case, id="{}{}={}".format(*case[:3]))
+        for case in _beyond_greatest()])
+    def test_value_beyond_greatest_rejected(self, tmp_path, capsys, command, flag,
+                                            value, message):
+        _assert_rejected(tmp_path, capsys, [command, flag, value], message)
 
     def test_seed_beyond_int64_runs(self, tmp_path):
         # only float values are tested for finiteness; numpy cannot
@@ -475,3 +506,31 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def _usable_cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
+@pytest.mark.skipif(len(_usable_cpus()) < 2,
+                    reason="needs os.sched_setaffinity and two usable CPUs")
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--bins", "1024", "--trials", "2"],
+    ["ex1", "--bins", "1024"],
+], ids=["perturb", "ex1"])
+def test_outputs_do_not_depend_on_the_cpu_count(tmp_path, argv):
+    # svd_stack runs one thread per usable CPU; a child pinned to one CPU
+    # decomposes every stack on one thread
+    cpu = min(_usable_cpus())
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(polysvd.__file__).resolve().parents[1])}
+    trees = []
+    for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})),
+                      ("unpinned", None)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-m", "polysvd.cli", *argv], cwd=cwd,
+                       env=env, preexec_fn=pin, check=True, capture_output=True,
+                       timeout=120)
+        trees.append({p.name: p.read_bytes() for p in (cwd / "out").iterdir()})
+    assert trees[0] == trees[1]

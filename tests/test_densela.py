@@ -1,6 +1,9 @@
 """Dense SVD kernel invariants; svd_stack as the package's one SVD call."""
 
 import ast
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 import polysvd
 from polysvd import svd
+from polysvd import densela
 from polysvd.densela import svd_stack
 from polysvd.sysgen import example1
 
@@ -82,6 +86,11 @@ class TestSvd:
         with pytest.raises(ValueError, match="2-D"):
             svd(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2, 2)])
+    def test_stack_rejects_other_ranks(self, shape):
+        with pytest.raises(ValueError, match=r"\(K, M, L\) stack"):
+            svd_stack(np.zeros(shape))
+
 
 def _svd_call_sites():
     """'module.function' around every *.linalg.svd call in the package."""
@@ -109,5 +118,102 @@ def _svd_call_sites():
 
 
 def test_svd_stack_is_the_only_svd_call():
-    # the two calls: values only, and full factors
-    assert _svd_call_sites() == ["densela.svd_stack"] * 2
+    # the two calls of svd_stack's per-block worker: values only, and full
+    # factors
+    assert _svd_call_sites() == ["densela._svd_block"] * 2
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """Make ``request.param`` CPUs usable, through either lookup."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: request.param)
+    return request.param
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record (thread id, bins) of every np.linalg.svd call."""
+    calls = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((threading.get_ident(), len(a)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def one_call(mats):
+    """(U, sigma, V) from one np.linalg.svd call on the whole stack."""
+    u, s, vh = np.linalg.svd(mats, full_matrices=True)
+    return u, s, np.conj(np.swapaxes(vh, -1, -2))
+
+
+class TestSvdStackBlocks:
+    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("shape", [(6, 6), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 255, 257, 4097])
+    def test_bitwise_equal_to_one_call(self, cpus, shape, k):
+        mats = RNG.standard_normal((k, *shape)) + 1j * RNG.standard_normal((k, *shape))
+        for got, want in zip(svd_stack(mats), one_call(mats)):
+            assert np.array_equal(got, want)
+        none_u, values, none_v = svd_stack(mats, vectors=False)
+        assert none_u is None and none_v is None
+        assert np.array_equal(values, np.linalg.svd(mats, compute_uv=False))
+
+    @pytest.mark.parametrize("cpus", [3], indirect=True)
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_one_thread_per_block(self, cpus, svd_calls, vectors):
+        # 4097 bins on 3 CPUs: blocks of 1365, 1366 and 1366 bins; the
+        # caller's thread takes the first, and with vectors each block is
+        # walked in chunks of _BLOCK bins
+        svd_stack(np.ones((4097, 2, 2)), vectors=vectors)
+        per_thread = {}
+        for ident, bins in svd_calls:
+            per_thread.setdefault(ident, []).append(bins)
+        assert len(per_thread) == 3
+        assert sum(per_thread[threading.get_ident()]) == 1365
+        assert sorted(sum(b) for b in per_thread.values()) == [1365, 1366, 1366]
+        assert max(bins for _, bins in svd_calls) == (
+            densela._BLOCK if vectors else 1366)
+
+    @pytest.mark.parametrize("cpus", [16], indirect=True)
+    def test_more_workers_than_cores(self, cpus):
+        # 16 blocks of 256 bins with a thread switch every microsecond
+        mats = RNG.standard_normal((16 * densela._BLOCK, 3, 3)) + 0j
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = svd_stack(mats)
+        finally:
+            sys.setswitchinterval(interval)
+        for g, want in zip(got, one_call(mats)):
+            assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("cpus", [64], indirect=True)
+    def test_small_stacks_stay_on_the_caller(self, cpus, svd_calls):
+        svd_stack(np.ones((2 * densela._BLOCK - 1, 2, 2)), vectors=False)
+        svd(np.eye(3))
+        assert {ident for ident, _ in svd_calls} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_block_error_reraised_after_join(self, cpus, monkeypatch, failing,
+                                             vectors):
+        caller = threading.get_ident()
+        baseline = threading.active_count()
+        original = np.linalg.svd
+
+        def failing_svd(a, *args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise np.linalg.LinAlgError(f"{failing} block failed")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError, match=f"{failing} block"):
+            svd_stack(np.ones((1024, 2, 2)), vectors=vectors)
+        assert threading.active_count() == baseline
