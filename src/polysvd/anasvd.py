@@ -180,8 +180,9 @@ def _adjacent_matches(u: np.ndarray):
     u is (K, M, R).  For k >= 1, with S_k = |u[k-1]^H u[k]|, returns the row
     argmaxes a[k] of S_k, fast[k] telling whether they form a permutation
     whose every pick beats the rest of its row by AMBIGUITY_MARGIN, and w[k],
-    the unit phase conj(d)/|d| of each picked overlap d.  Row 0 is unused.
-    The products run over blocks of _BLOCK bins to keep temporaries small.
+    the unit phase conj(d)/|d| of each picked overlap d.  Bin 0 starts the
+    tracks: a[0] is the identity and w[0] is 1.  The products run over
+    blocks of _BLOCK bins to keep temporaries small.
 
     Where fast[k] holds, _greedy_match(S_k) returns (a[k], False): its
     elimination takes exactly the argmax picks, largest first, and finds
@@ -190,10 +191,11 @@ def _adjacent_matches(u: np.ndarray):
     too.
     """
     k_bins, _, r = u.shape
-    a = np.zeros((k_bins, r), dtype=int)
+    cols = np.arange(r)
+    a = np.empty((k_bins, r), dtype=int)
+    a[0] = cols
     w = np.ones((k_bins, r), dtype=np.complex128)
     fast = np.zeros(k_bins, dtype=bool)
-    cols = np.arange(r)
     for b0 in range(1, k_bins, _BLOCK):
         b1 = min(b0 + _BLOCK, k_bins)
         g = u[b0 - 1:b1 - 1].conj().transpose(0, 2, 1) @ u[b0:b1]
@@ -207,25 +209,6 @@ def _adjacent_matches(u: np.ndarray):
         fast[b0:b1] = clear & is_perm
         w[b0:b1] = _unit(np.take_along_axis(g, pick[..., None], axis=2)[..., 0])
     return a, w, fast
-
-
-def _compose_run(perms, phases, a, w, s, e):
-    """Fill bins s+1 .. e-1, all on the fast path, from bin s.
-
-    perms[k] = a[k][perms[k-1]] is composed for the run by prefix doubling
-    (integer work only); phases[k] = phases[k-1] * w[k][perms[k-1]] is a
-    cumulative product.
-    """
-    if e - s < 2:
-        return
-    q = a[s + 1:e].copy()  # q[j]: column at bin s -> column at bin s+1+j
-    shift = 1
-    while shift < q.shape[0]:
-        q[shift:] = np.take_along_axis(q[shift:], q[:-shift], axis=1)
-        shift *= 2
-    perms[s + 1:e] = q[:, perms[s]]
-    steps = np.take_along_axis(w[s + 1:e], perms[s:e - 1], axis=1)
-    np.multiply(phases[s], np.cumprod(steps, axis=0, out=steps), out=phases[s + 1:e])
 
 
 def _track_signs(v: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -264,43 +247,43 @@ def _associate(u: np.ndarray, r: int):
 
     Returns (perms, phases, ambiguous, ref): per bin the column each track
     takes and the phase that aligns it with the track's u_prev, the mask of
-    ambiguous bins and the last non-ambiguous bin.  Fast-path runs are
-    composed in bulk; the loop visits the bins failing the fast path and
-    each bin right after an ambiguous one, whose u_prev is older than its
-    neighbour.
+    ambiguous bins and the last non-ambiguous bin.  a[k] maps the columns of
+    bin k's reference, the last non-ambiguous bin before k, to bin k's, and
+    w[k] holds the unit phases of the picks.  An ambiguous bin maps by the
+    identity; its phase step multiplies its own phase only, outside the
+    cumulative product, so that the next bin composes with the reference.
     """
     k_bins = u.shape[0]
+    u = u[:, :, :r]
     tracks = np.arange(r)
-    a, w, fast = _adjacent_matches(u[:, :, :r])
-    perms = np.empty((k_bins, r), dtype=int)
-    phases = np.empty((k_bins, r), dtype=np.complex128)
+    a, w, fast = _adjacent_matches(u)
     ambiguous = np.zeros(k_bins, dtype=bool)
-    perms[0] = tracks
-    phases[0] = 1.0
-    failing = np.flatnonzero(~fast[1:]) + 1
-    ref = done = 0  # ref: last non-ambiguous bin; done: last bin filled
-    while done < k_bins - 1:
-        if ambiguous[done]:
-            k = done + 1
-        else:
-            j = failing.searchsorted(done, side="right")
-            k = int(failing[j]) if j < failing.size else k_bins
-        _compose_run(perms, phases, a, w, done, k)
-        if k > done + 1:
+    todo = (np.flatnonzero(~fast[1:]) + 1)[::-1].tolist()  # smallest bin last
+    ref = 0
+    while todo:
+        k = todo.pop()
+        if not ambiguous[k - 1]:
             ref = k - 1
-        if k == k_bins:
-            break
-        u_prev = u[ref][:, perms[ref]] * phases[ref]
-        g = u_prev.conj().T @ u[k][:, :r]
-        perm, ambiguous[k] = _greedy_match(np.abs(g))
+        g = u[ref].conj().T @ u[k]
+        a[k], ambiguous[k] = _greedy_match(np.abs(g))
         if ambiguous[k]:
-            perm = perms[k - 1]
-        else:
-            ref = k
-        perms[k] = perm
-        phases[k] = _unit(g[tracks, perm])
-        done = k
-    return perms, phases, ambiguous, ref
+            a[k] = tracks
+            if k + 1 < k_bins and k + 1 not in todo[-1:]:
+                todo.append(k + 1)
+        w[k] = _unit(g[tracks, a[k]])
+
+    perms = a
+    shift = 1
+    while shift < k_bins:
+        perms[shift:] = np.take_along_axis(perms[shift:], perms[:-shift], axis=1)
+        shift *= 2
+    phases = np.ones((k_bins, r), dtype=np.complex128)
+    phases[1:] = np.take_along_axis(w[1:], perms[:-1], axis=1)
+    own = phases[ambiguous]
+    phases[ambiguous] = 1.0
+    np.cumprod(phases, axis=0, out=phases)
+    phases[ambiguous] *= own
+    return perms, phases, ambiguous, int(np.flatnonzero(~ambiguous)[-1])
 
 
 def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
@@ -325,16 +308,15 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     crossing.  Bins with ambiguous matches keep the previous permutation
     and refresh nothing; an AssociationAmbiguous warning summarizes them.
 
-    The steps run in batched stages.  The scores |U_{k-1}^H U_k| of all
-    adjacent bins come from blocked batched products; at a bin whose
-    previous bin is the reference and whose row argmaxes form a clear
-    permutation (the greedy match's picks there, see _adjacent_matches),
-    the permutation is that argmax permutation composed with the previous
-    one and the phase is the previous phase times the unit phase of the
-    picked overlap.  A Python loop visits only the other bins, those
-    failing that test and each bin right after an ambiguous one, and runs
-    the greedy match there on the overlap with u_prev.  Signs follow from
-    the refresh chain as a cumulative product of +-1 (see _track_signs).
+    The steps run in two batched stages.  The match stage gives every bin
+    a column map from its reference, the last non-ambiguous bin before it,
+    and the unit phases of the picked overlaps: from batched products of
+    adjacent bins where their row argmaxes form a clear permutation (see
+    _adjacent_matches), else from the greedy match on the raw overlap with
+    the reference, in a Python loop that reads no permutation or phase.
+    The compose stage chains maps and phases over all bins at once (see
+    _associate).  Signs follow from the refresh chain as a cumulative
+    product of +-1 (see _track_signs).
 
     The result is one representative of the sign/permutation equivalence
     class of the analytic singular values: per-track global sign and track

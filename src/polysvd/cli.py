@@ -56,9 +56,13 @@ def _note_overwrite(path: Path) -> None:
 
 def _write_json(path: Path, payload: dict, ns: argparse.Namespace,
                 indent: Optional[int] = 1) -> None:
-    _note_overwrite(path)
     payload = {"meta": _meta(ns), **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+    try:  # JSON has no NaN or infinity
+        text = json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError(f"{path} would hold a non-finite number") from None
+    _note_overwrite(path)
+    path.write_text(text + "\n")
 
 
 def _write_table(path: Path, columns: dict, row_fmt: str,
@@ -115,8 +119,12 @@ def cmd_ex1(ns: argparse.Namespace) -> int:
             return EXIT_USAGE
     else:
         a = fixture.A
+    try:
+        bins = anasvd.binwise_svd(a, ns.n_bins)
+    except ValueError as exc:  # finite taps whose bin sums overflow
+        print(f"usage error: fixture {ns.fixture}: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
     out.mkdir(parents=True, exist_ok=True)
-    bins = anasvd.binwise_svd(a, ns.n_bins)
     smooth = anasvd.smooth_trajectories(bins)
     forms = np.stack([f(smooth.omegas) for f in fixture.closed_forms])
     closed = anasvd.SvTrajectories(mode="smooth", omegas=smooth.omegas.copy(),
@@ -350,7 +358,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    return _COMMANDS[ns.subcommand](ns)
+    try:  # a non-finite result is reported once, by _write_json
+        with np.errstate(all="ignore"):
+            return _COMMANDS[ns.subcommand](ns)
+    except FloatingPointError as exc:
+        print(f"numerical failure: {exc}; not written", file=_sys.stderr)
+        return EXIT_TOLERANCE
 
 
 def entry() -> None:

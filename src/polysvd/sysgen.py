@@ -40,8 +40,6 @@ def as_generator(rng) -> np.random.Generator:
         return rng
     if isinstance(rng, SeededRng):
         return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return SeededRng(int(rng)).generator()
     raise TypeError(f"cannot interpret {rng!r} as a random source")
 
 

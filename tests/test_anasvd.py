@@ -19,6 +19,7 @@ from polysvd import (
     track_deviation,
 )
 from polysvd.anasvd import AMBIGUITY_MARGIN, _greedy_match, write_trajectory_csv
+from polysvd.perturb import random_error, scale_to_normalized
 from polysvd.sysgen import SeededRng, bigsys, example1, random_paraunitary
 
 RNG = np.random.default_rng(31415)
@@ -356,6 +357,10 @@ def equivalence_systems():
     # at K = 4 its phase turns by pi, then by pi/2: overlaps exactly < 0, then 0
     yield "quarter_turns", PolyMatrix(np.fft.ifft([1, -1, -1j, 1j]).reshape(1, 1, 4), 0)
     yield "bigsys", bigsys(SeededRng(1)).A
+    # at K = 1024: 36 ambiguous bins, 35 of them in one run
+    a = bigsys(SeededRng(0)).A
+    err = random_error(a.rows, a.cols, a.order, 1.0, SeededRng(7))
+    yield "perturbed_bigsys", a + scale_to_normalized(err, a, 1e-6)
 
 
 EQUIVALENCE_SYSTEMS = dict(equivalence_systems())

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,22 @@ class TestEx1:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot read fixture {fx}: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_fixture(self, tmp_path, capsys):
+        # every tap is finite, but the (0, 0) bin sums overflow
+        c = np.zeros((2, 2, 3), dtype=complex)
+        c[0, 0] = 1e308
+        fx = tmp_path / "fixture.json"
+        fx.write_text(json.dumps(PolyMatrix(c, -1).to_json_dict()))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["ex1", "--bins", "16", "--out", str(out),
+                        "--fixture", str(fx)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: fixture {fx}: non-finite input\n"
         assert not out.exists()
 
     def test_summary_counts_ambiguous_bins(self, tmp_path):
@@ -294,6 +311,23 @@ class TestSysid:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["perturb", "--sigma2-e", "1e308", "--bins", "16", "--trials", "1"],
+     "perturb_diag_s2e_1e+308.json"),
+    (["sysid", "--sigma2-v", "1e308", "--N", "2000"], "sysid_report.json"),
+], ids=["perturb", "sysid"])
+def test_non_finite_result_is_a_numerical_failure(tmp_path, capsys, argv, name):
+    # an infinite sigma2_norm_actual, or a NaN MSE, has no JSON form
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", str(out)])
+    assert code == EXIT_TOLERANCE
+    assert capsys.readouterr().err == (f"numerical failure: {out / name} would "
+                                       "hold a non-finite number; not written\n")
+    assert not (out / name).exists()
+
+
 def _field_names(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
@@ -355,6 +389,10 @@ def _assert_rejected(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
 
 
 class TestUsage:
@@ -456,7 +494,8 @@ class TestUsage:
         files = sorted(out.glob("*.json"))
         assert files
         for path in files:
-            meta = json.loads(path.read_text())["meta"]
+            meta = json.loads(path.read_text(),
+                              parse_constant=_reject_constant)["meta"]
             assert meta["seed"] == 3, path.name
             assert meta["config"]["subcommand"] == command, path.name
             assert meta["version"] == cli.__version__, path.name

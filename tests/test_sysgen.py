@@ -19,7 +19,7 @@ from polysvd import (
     reference_tracks,
 )
 
-from polysvd.sysgen import complex_normal
+from polysvd.sysgen import as_generator, complex_normal
 from test_polymat import ex1_matrix
 
 
@@ -36,6 +36,14 @@ class TestComplexNormal:
         want = np.sqrt(sigma2 / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
         assert got.shape == shape and got.dtype == np.complex128
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rng", [3, np.int64(3)])
+    def test_bare_int_is_not_a_random_source(self, rng):
+        # all randomness flows through SeededRng(seed, stream)
+        with pytest.raises(TypeError, match="as a random source"):
+            as_generator(rng)
+        with pytest.raises(TypeError, match="as a random source"):
+            complex_normal(rng, (2,))
 
 
 class TestElementaryPu:
