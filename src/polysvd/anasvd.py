@@ -31,7 +31,8 @@ _SIGN_REF_REL_FLOOR = 1e-7
 # Greedy-match score margin below which the association is reported ambiguous.
 AMBIGUITY_MARGIN = 0.1
 
-# Bins per batched product in smooth association: bounds its temporaries.
+# Bins per batched product in smooth association, and rows per formatting
+# call of the CSV writer: bounds their temporaries.
 _BLOCK = 512
 
 
@@ -77,6 +78,10 @@ class SvTrajectories:
     wrap consistency is reported, never enforced.  ambiguous_bins lists, in
     ascending order, the bins whose association was ambiguous (empty when
     there are none).
+
+    The smooth U and V are transposed views of C-ordered (K, R, M) and
+    (K, R, L) arrays, so each track's vector at a bin is contiguous;
+    np.ascontiguousarray gives the C-ordered (K, M, R) and (K, L, R) arrays.
     """
 
     mode: str  # "majorized" | "smooth"
@@ -191,28 +196,39 @@ def _adjacent_matches(u: np.ndarray):
     too.
     """
     k_bins, _, r = u.shape
-    cols = np.arange(r)
     a = np.empty((k_bins, r), dtype=int)
-    a[0] = cols
+    a[0] = np.arange(r)
     w = np.ones((k_bins, r), dtype=np.complex128)
     fast = np.zeros(k_bins, dtype=bool)
+    # flat index of entry (k, m, 0) of a block's overlaps, and of (k, 0) of
+    # its (bin, column) table
+    row_at = np.arange(0, _BLOCK * r * r, r).reshape(_BLOCK, r)
+    bin_at = np.arange(0, _BLOCK * r, r)[:, None]
     for b0 in range(1, k_bins, _BLOCK):
         b1 = min(b0 + _BLOCK, k_bins)
+        n = b1 - b0
         g = u[b0 - 1:b1 - 1].conj().transpose(0, 2, 1) @ u[b0:b1]
         score = np.abs(g)
         pick = score.argmax(axis=2)
-        best = np.take_along_axis(score, pick[..., None], axis=2)[..., 0]
-        np.put_along_axis(score, pick[..., None], -np.inf, axis=2)
-        clear = (best - score.max(axis=2)).min(axis=1) >= AMBIGUITY_MARGIN
-        is_perm = (np.sort(pick, axis=1) == cols).all(axis=1)
+        at = row_at[:n] + pick
+        best = score.reshape(-1)[at]
+        score.reshape(-1)[at] = -np.inf
+        rival = score[:, :, 0].copy()  # the runner-up of each row
+        for c in range(1, r):
+            np.maximum(rival, score[:, :, c], out=rival)
+        clear = (best - rival >= AMBIGUITY_MARGIN).all(axis=1)
+        # r picks form a permutation when they take every column
+        taken = np.zeros(n * r, dtype=bool)
+        taken[bin_at[:n] + pick] = True
         a[b0:b1] = pick
-        fast[b0:b1] = clear & is_perm
-        w[b0:b1] = _unit(np.take_along_axis(g, pick[..., None], axis=2)[..., 0])
+        fast[b0:b1] = clear & taken.reshape(n, r).all(axis=1)
+        w[b0:b1] = _unit(g.reshape(-1)[at])
     return a, w, fast
 
 
-def _track_signs(v: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Signs (K, R) of the phase-aligned right vectors v (K, L, R).
+def _track_signs(vt: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Signs (K, R) of the phase-aligned right vectors vt (K, R, L), vt[k, m]
+    the vector of track m at bin k.
 
     refresh marks the bins where a track refreshes its reference and last
     holds the last refresh bin <= k (-1 for none).  A track's sign reference
@@ -222,13 +238,14 @@ def _track_signs(v: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.nda
     each other, so s_r is the parity of the negative steps along the chain
     since its last reset: a cumulative count, exact.
     """
-    k_bins, _, r = v.shape
+    k_bins, r, _ = vt.shape
+    rows = vt.reshape(k_bins * r, -1)
+    tracks = np.arange(r)
     x = np.zeros((k_bins, r))
     for b0 in range(1, k_bins, _BLOCK):
         b1 = min(b0 + _BLOCK, k_bins)
-        ref = np.maximum(last[b0 - 1:b1 - 1], 0)
-        v_ref = np.take_along_axis(v, ref[:, None, :], axis=0)
-        x[b0:b1] = np.einsum("kij,kij->kj", v_ref.conj(), v[b0:b1]).real
+        v_ref = rows[np.maximum(last[b0 - 1:b1 - 1], 0) * r + tracks]
+        x[b0:b1] = np.einsum("kji,kji->kj", v_ref.conj(), vt[b0:b1]).real
     reset = x == 0.0  # bin 0 has no reference: x stays 0 there
     reset[1:] |= last[:-1] < 0
     negative = x < 0.0
@@ -273,12 +290,13 @@ def _associate(u: np.ndarray, r: int):
         w[k] = _unit(g[tracks, a[k]])
 
     perms = a
+    row_at = np.arange(0, k_bins * r, r)[:, None]  # flat index of (k, 0)
     shift = 1
     while shift < k_bins:
-        perms[shift:] = np.take_along_axis(perms[shift:], perms[:-shift], axis=1)
+        perms[shift:] = perms.reshape(-1)[perms[:-shift] + row_at[shift:]]
         shift *= 2
     phases = np.ones((k_bins, r), dtype=np.complex128)
-    phases[1:] = np.take_along_axis(w[1:], perms[:-1], axis=1)
+    phases[1:] = w.reshape(-1)[perms[:-1] + row_at[1:]]
     own = phases[ambiguous]
     phases[ambiguous] = 1.0
     np.cumprod(phases, axis=0, out=phases)
@@ -328,26 +346,27 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     k_bins = bins.n_bins
     r = bins.n_tracks
     perms, phases, ambiguous, ref = _associate(bins.U, r)
-    u_al = np.take_along_axis(bins.U, perms[:, None, :], axis=2)
-    u_al *= phases[:, None, :]
-    v_al = np.take_along_axis(bins.V, perms[:, None, :], axis=2)
-    v_al *= phases[:, None, :]
-    sigma = np.take_along_axis(bins.sigma, perms, axis=1)
+    k = np.arange(k_bins)[:, None]
+    # ut[k, m] and vt[k, m]: the vectors of track m at bin k, gathered as rows
+    ut = bins.U.transpose(0, 2, 1)[k, perms]
+    ut *= phases[:, :, None]
+    vt = bins.V.transpose(0, 2, 1)[k, perms]
+    vt *= phases[:, :, None]
+    sigma = bins.sigma.reshape(-1)[perms + k * r]
     smax = bins.sigma.max(axis=1, keepdims=True)
     refresh = ~ambiguous[:, None] & (sigma > _SIGN_REF_REL_FLOOR
                                      * np.where(smax > 0, smax, 1.0))
-    last = np.maximum.accumulate(
-        np.where(refresh, np.arange(k_bins)[:, None], -1), axis=0)
-    signs = _track_signs(v_al, refresh, last)
-    v_al *= signs[:, None, :]
+    last = np.maximum.accumulate(np.where(refresh, k, -1), axis=0)
+    signs = _track_signs(vt, refresh, last)
+    vt *= signs[:, :, None]
     values = signs.T * sigma.T
 
     # wrap-around step: continue from the last bin back into bin 0
     tracks = np.arange(r)
-    g = u_al[ref].conj().T @ bins.U[0][:, :r]
+    g = ut[ref].conj() @ bins.U[0][:, :r]
     wrap_perm, _ = _greedy_match(np.abs(g))
     v = bins.V[0][:, wrap_perm] * _unit(g[tracks, wrap_perm])
-    v_ref = v_al[np.maximum(last[-1], 0), :, tracks].T
+    v_ref = vt[np.maximum(last[-1], 0), tracks].T
     wrap_signs = np.where((last[-1] >= 0) & _flipped(v_ref, v), -1.0, 1.0)
 
     ambiguous_bins = np.flatnonzero(ambiguous)
@@ -368,8 +387,8 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
         values=values,
         permutations=perms,
         signs=signs.T.copy(),
-        U=u_al,
-        V=v_al,
+        U=ut.transpose(0, 2, 1),
+        V=vt.transpose(0, 2, 1),
         wrap_permutation=wrap_perm,
         wrap_signs=wrap_signs,
         ambiguous_bins=ambiguous_bins,
@@ -424,7 +443,8 @@ def track_deviation(values: np.ndarray, reference: np.ndarray) -> float:
 
 def write_trajectory_csv(traj: SvTrajectories, fh, extra: Optional[dict] = None,
                          meta_line: Optional[str] = None) -> None:
-    """Write `omega,track_1,...,track_R[,extra...],mode` rows at 17 digits.
+    """Write `omega,track_1,...,track_R[,extra...],mode` rows at 17 digits
+    to the text file ``fh``.
 
     ``extra`` maps column names to (R_extra, K) arrays appended between the
     tracks and the mode column; ``meta_line`` is emitted verbatim first.
@@ -436,6 +456,14 @@ def write_trajectory_csv(traj: SvTrajectories, fh, extra: Optional[dict] = None,
     header = ",".join(names + ["mode"])
     if meta_line is not None:
         header = meta_line + "\n" + header
-    table = np.vstack([traj.omegas, traj.values, *extra.values()]).T
-    np.savetxt(fh, table, fmt=",".join(["%.17g"] * len(names) + [traj.mode]),
-               header=header, comments="")
+    fh.write(header + "\n")
+    _write_rows(fh, np.vstack([traj.omegas, traj.values, *extra.values()]).T,
+                ",".join(["%.17g"] * len(names) + [traj.mode]))
+
+
+def _write_rows(fh, table: np.ndarray, row_fmt: str) -> None:
+    """Write each row of the 2-D ``table`` as ``row_fmt % tuple(row)`` and a
+    newline, formatting _BLOCK rows per call."""
+    for b0 in range(0, table.shape[0], _BLOCK):
+        block = table[b0:b0 + _BLOCK]
+        fh.write(((row_fmt + "\n") * len(block)) % tuple(block.ravel().tolist()))

@@ -49,49 +49,72 @@ def _meta_line(ns: argparse.Namespace) -> str:
     return "# " + json.dumps(_meta(ns), sort_keys=True)
 
 
-def _note_overwrite(path: Path) -> None:
-    if path.exists():
-        print(f"note: overwriting {path}", file=_sys.stderr)
-
-
-def _write_json(path: Path, payload: dict, ns: argparse.Namespace,
-                indent: Optional[int] = 1) -> None:
+def _json_text(path: Path, payload: dict, ns: argparse.Namespace,
+               indent: Optional[int] = 1) -> str:
     payload = {"meta": _meta(ns), **payload}
     try:  # JSON has no NaN or infinity
         text = json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError:
         raise FloatingPointError(f"{path} would hold a non-finite number") from None
-    _note_overwrite(path)
-    path.write_text(text + "\n")
+    return text + "\n"
 
 
-def _write_table(path: Path, columns: dict, row_fmt: str,
-                 ns: argparse.Namespace) -> None:
+def _check_finite(path: Path, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError(f"{path} would hold a non-finite number")
+
+
+def _json_output(path: Path, payload: dict, ns: argparse.Namespace,
+                 indent: Optional[int] = 1):
+    text = _json_text(path, payload, ns, indent)
+    return path, lambda fh: fh.write(text)
+
+
+def _table_output(path: Path, columns: dict, row_fmt: str,
+                  ns: argparse.Namespace):
     """Tabular output honoring --format; ``columns`` maps names to arrays and
     ``row_fmt`` is the CSV row format."""
-    if ns.fmt == "csv":
-        _note_overwrite(path)
-        np.savetxt(path, np.column_stack(list(columns.values())), fmt=row_fmt,
-                   header=_meta_line(ns) + "\n" + ",".join(columns),
-                   comments="")
-    else:
-        rows = list(zip(*(col.tolist() for col in columns.values())))
-        _write_json(path, {"columns": list(columns), "rows": rows}, ns)
+    _check_finite(path, *columns.values())
+
+    def write(fh):
+        if ns.fmt == "csv":
+            fh.write(_meta_line(ns) + "\n" + ",".join(columns) + "\n")
+            anasvd._write_rows(fh, np.column_stack(list(columns.values())), row_fmt)
+        else:
+            rows = list(zip(*(col.tolist() for col in columns.values())))
+            fh.write(_json_text(path, {"columns": list(columns), "rows": rows}, ns))
+    return path, write
 
 
-def _write_traj(path: Path, traj: anasvd.SvTrajectories, ns: argparse.Namespace,
-                extra: Optional[dict] = None) -> None:
-    if ns.fmt == "csv":
-        _note_overwrite(path)
-        with path.open("w") as fh:
+def _traj_output(path: Path, traj: anasvd.SvTrajectories, ns: argparse.Namespace,
+                 extra: Optional[dict] = None):
+    extra = extra or {}
+    _check_finite(path, traj.omegas, traj.values, *extra.values())
+
+    def write(fh):
+        if ns.fmt == "csv":
             anasvd.write_trajectory_csv(traj, fh, extra=extra,
                                         meta_line=_meta_line(ns))
-    else:
-        payload = {"mode": traj.mode, "omega": traj.omegas.tolist(),
-                   "tracks": traj.values.tolist()}
-        for name, arr in (extra or {}).items():
-            payload[name] = arr.tolist()
-        _write_json(path, payload, ns)
+        else:
+            payload = {"mode": traj.mode, "omega": traj.omegas.tolist(),
+                       "tracks": traj.values.tolist()}
+            for name, arr in extra.items():
+                payload[name] = arr.tolist()
+            fh.write(_json_text(path, payload, ns))
+    return path, write
+
+
+def _write_outputs(out: Path, outputs: list) -> None:
+    """Create ``out`` and write each (path, writer) of the *_output helpers
+    in order, noting each overwrite on stderr.  The helpers refuse a
+    non-finite number when called, so a command that builds all its outputs
+    first writes nothing when one is refused."""
+    out.mkdir(parents=True, exist_ok=True)
+    for path, write in outputs:
+        if path.exists():
+            print(f"note: overwriting {path}", file=_sys.stderr)
+        with path.open("w") as fh:
+            write(fh)
 
 
 def _level_tag(kind: str, level: float) -> str:
@@ -124,18 +147,19 @@ def cmd_ex1(ns: argparse.Namespace) -> int:
     except ValueError as exc:  # finite taps whose bin sums overflow
         print(f"usage error: fixture {ns.fixture}: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    out.mkdir(parents=True, exist_ok=True)
     smooth = anasvd.smooth_trajectories(bins)
     forms = np.stack([f(smooth.omegas) for f in fixture.closed_forms])
     closed = anasvd.SvTrajectories(mode="smooth", omegas=smooth.omegas.copy(),
                                    values=forms)
-    _write_traj(out / f"ex1_closed_forms.{ns.fmt}", closed, ns)
-    _write_traj(out / f"ex1_smooth.{ns.fmt}", smooth, ns)
     deviation = anasvd.track_deviation(smooth.values, forms)
-    _write_json(out / "ex1_summary.json",
-                {"max_deviation": deviation, "tolerance": EX1_TOL,
-                 "n_bins": ns.n_bins,
-                 "n_ambiguous_bins": int(smooth.ambiguous_bins.size)}, ns)
+    _write_outputs(out, [
+        _traj_output(out / f"ex1_closed_forms.{ns.fmt}", closed, ns),
+        _traj_output(out / f"ex1_smooth.{ns.fmt}", smooth, ns),
+        _json_output(out / "ex1_summary.json",
+                     {"max_deviation": deviation, "tolerance": EX1_TOL,
+                      "n_bins": ns.n_bins,
+                      "n_ambiguous_bins": int(smooth.ambiguous_bins.size)}, ns),
+    ])
     if deviation > EX1_TOL:
         print(f"ex1: FAIL max deviation {deviation:.3e} > {EX1_TOL:.1e}",
               file=_sys.stderr)
@@ -162,11 +186,12 @@ def cmd_hist(ns: argparse.Namespace) -> int:
     columns = {"trial": np.repeat(np.arange(n_trials), n_index),
                "index": np.tile(np.arange(1, n_index + 1), n_trials),
                "value": samples.T.ravel()}
-    out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / f"hist_samples.{ns.fmt}", columns, "%d,%d,%.17g", ns)
-    _write_json(out / "hist_fits.json",
-                {"omega0": omega0, "sigma2_e": ns.sigma2_e, "fits": fits,
-                 "sample_min": samples.min(axis=1).tolist()}, ns)
+    _write_outputs(out, [
+        _table_output(out / f"hist_samples.{ns.fmt}", columns, "%d,%d,%.17g", ns),
+        _json_output(out / "hist_fits.json",
+                     {"omega0": omega0, "sigma2_e": ns.sigma2_e, "fits": fits,
+                      "sample_min": samples.min(axis=1).tolist()}, ns),
+    ])
     print(f"hist: {ns.trials} trials at omega0=pi, "
           f"min smallest sample {samples[-1].min():.3e}")
     return EXIT_OK
@@ -174,11 +199,11 @@ def cmd_hist(ns: argparse.Namespace) -> int:
 
 def cmd_perturb(ns: argparse.Namespace) -> int:
     out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_ = sysgen.bigsys(sysgen.SeededRng(ns.seed, stream=1 << 20))
     system = sys_.to_json_dict()
     system["generator"] = system.pop("meta")
-    _write_json(out / "system.json", system, ns, indent=None)
+    outputs = [_json_output(out / "system.json", system, ns, indent=None)]
+    lines = []
     refs = sysgen.reference_tracks(sys_, ns.n_bins)
     if ns.sigma2_norm is not None:
         settings = [("sigma2_norm", v) for v in ns.sigma2_norm]
@@ -191,9 +216,9 @@ def cmd_perturb(ns: argparse.Namespace) -> int:
         )
         results, traj = perturb.perturb_and_analyze(sys_, pcfg)
         tag = _level_tag(kind, level)
-        _write_traj(out / f"perturb_traj_{tag}.{ns.fmt}", traj, ns,
-                    extra={"ref": refs})
-        _write_json(
+        outputs.append(_traj_output(out / f"perturb_traj_{tag}.{ns.fmt}", traj,
+                                    ns, extra={"ref": refs}))
+        outputs.append(_json_output(
             out / f"perturb_diag_{tag}.json",
             {
                 kind: level,
@@ -204,11 +229,13 @@ def cmd_perturb(ns: argparse.Namespace) -> int:
                 ],
             },
             ns,
-        )
+        ))
         worst_gap = min(r.report.min_gap for r in results)
         worst_small = min(r.report.min_smallest for r in results)
-        print(f"perturb: {kind}={level:g} trials={ns.trials} "
-              f"min_gap={worst_gap:.3e} min_smallest={worst_small:.3e}")
+        lines.append(f"perturb: {kind}={level:g} trials={ns.trials} "
+                     f"min_gap={worst_gap:.3e} min_smallest={worst_small:.3e}")
+    _write_outputs(out, outputs)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -225,11 +252,10 @@ def cmd_sysid(ns: argparse.Namespace) -> int:
         print(f"usage error: sysid --N {ns.n_samples} --order {j_hat}: {exc}",
               file=_sys.stderr)
         return EXIT_USAGE
-    out.mkdir(parents=True, exist_ok=True)
     err = sysid.error_system(est, sys_)
     report = sysid.mse_decomposition(frame, est, sys_)
     sigma2_norm = perturb.normalized_variance(err, sys_.A)
-    _write_json(
+    report_output = _json_output(
         out / "sysid_report.json",
         {
             "N": ns.n_samples,
@@ -243,8 +269,9 @@ def cmd_sysid(ns: argparse.Namespace) -> int:
         },
         ns,
     )
-    _write_json(out / "sysid_error_system.json", err.to_json_dict(), ns,
-                indent=None)
+    _write_outputs(out, [report_output,
+                         _json_output(out / "sysid_error_system.json",
+                                      err.to_json_dict(), ns, indent=None)])
     print(f"sysid: N={ns.n_samples} xi_mse={report.xi_mse:.5g} "
           f"error_energy={report.error_energy:.5g} "
           f"gap={report.decomposition_gap:.3g} cond={est.condition:.3g}")
@@ -358,7 +385,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    try:  # a non-finite result is reported once, by _write_json
+    try:  # a non-finite result is reported once, before anything is written
         with np.errstate(all="ignore"):
             return _COMMANDS[ns.subcommand](ns)
     except FloatingPointError as exc:

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,21 @@ from polysvd import (
     smooth_trajectories,
     track_deviation,
 )
-from polysvd.anasvd import AMBIGUITY_MARGIN, _greedy_match, write_trajectory_csv
+from polysvd.anasvd import (
+    AMBIGUITY_MARGIN,
+    _adjacent_matches,
+    _greedy_match,
+    write_trajectory_csv,
+)
 from polysvd.perturb import random_error, scale_to_normalized
-from polysvd.sysgen import SeededRng, bigsys, example1, random_paraunitary
+from polysvd.sysgen import (
+    SeededRng,
+    assemble,
+    bigsys,
+    example1,
+    random_paraunitary,
+    random_parahermitian_scalar,
+)
 
 RNG = np.random.default_rng(31415)
 
@@ -276,6 +289,21 @@ class TestSmoothBigsys:
         with pytest.warns(AssociationAmbiguous):
             smooth_trajectories(binwise_svd(bigsys(SeededRng(seed)).A, 4))
 
+    def test_memory_is_output_plus_blocks(self):
+        # beyond the 5.3 MB it returns, the association may hold its (K, R)
+        # maps and phases and one block of overlaps, but no (K, M, R) copy
+        # of U or V (2.4 MB each here)
+        b = binwise_svd(bigsys(SeededRng(1, stream=1)).A, self.K)
+        tracemalloc.start()
+        try:
+            sm = smooth_trajectories(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(np.asarray(x).nbytes for x in vars(sm).values()
+                       if not isinstance(x, str))
+        assert peak <= returned + 2_000_000
+
 
 def per_bin_smooth(bins):
     """Reference association: the per-bin loop the batched stages replace.
@@ -366,29 +394,55 @@ def equivalence_systems():
 EQUIVALENCE_SYSTEMS = dict(equivalence_systems())
 
 
+def assert_matches_per_bin_loop(b):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sm = smooth_trajectories(b)
+    (perms, signs, values, u_al, v_al, wrap_perm, wrap_signs,
+     ambiguous_bins, messages) = per_bin_smooth(b)
+    assert np.array_equal(sm.permutations, perms)
+    assert np.array_equal(sm.signs, signs)
+    assert np.array_equal(sm.values, values)
+    assert np.array_equal(sm.wrap_permutation, wrap_perm)
+    assert np.array_equal(sm.wrap_signs, wrap_signs)
+    assert sm.ambiguous_bins.dtype.kind == "i"
+    assert sm.ambiguous_bins.tolist() == ambiguous_bins
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, AssociationAmbiguous)] == messages
+    assert np.abs(sm.U - u_al).max() <= 1e-12
+    assert np.abs(sm.V - v_al).max() <= 1e-12
+
+
 class TestSmoothEquivalence:
     """The batched association gives the per-bin loop's tracks exactly."""
 
     @pytest.mark.parametrize("name", list(EQUIVALENCE_SYSTEMS))
     @pytest.mark.parametrize("n_bins", [1, 2, 4, 8, 16, 1024])
     def test_matches_per_bin_loop(self, name, n_bins):
-        b = binwise_svd(EQUIVALENCE_SYSTEMS[name], n_bins)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sm = smooth_trajectories(b)
-        (perms, signs, values, u_al, v_al, wrap_perm, wrap_signs,
-         ambiguous_bins, messages) = per_bin_smooth(b)
-        assert np.array_equal(sm.permutations, perms)
-        assert np.array_equal(sm.signs, signs)
-        assert np.array_equal(sm.values, values)
-        assert np.array_equal(sm.wrap_permutation, wrap_perm)
-        assert np.array_equal(sm.wrap_signs, wrap_signs)
-        assert sm.ambiguous_bins.dtype.kind == "i"
-        assert sm.ambiguous_bins.tolist() == ambiguous_bins
-        assert [str(w.message) for w in caught
-                if issubclass(w.category, AssociationAmbiguous)] == messages
-        assert np.abs(sm.U - u_al).max() <= 1e-12
-        assert np.abs(sm.V - v_al).max() <= 1e-12
+        assert_matches_per_bin_loop(binwise_svd(EQUIVALENCE_SYSTEMS[name], n_bins))
+
+    @pytest.mark.parametrize("name", ["example1", "bigsys"])
+    def test_matches_per_bin_loop_at_4096_bins(self, name):
+        # the grid of the benchmark's track workload
+        assert_matches_per_bin_loop(binwise_svd(EQUIVALENCE_SYSTEMS[name], 4096))
+
+    def test_more_tracks_than_a_64_bit_mask_holds(self):
+        g = SeededRng(64).generator()
+        u = random_paraunitary(64, 1, g)
+        sigmas = [random_parahermitian_scalar(3, g) for _ in range(64)]
+        b = binwise_svd(assemble(u, sigmas, random_paraunitary(64, 1, g)).A, 32)
+        assert _adjacent_matches(b.U)[2][1:].all()  # every pair is a clear match
+        assert_matches_per_bin_loop(b)
+
+    def test_clear_picks_of_one_column_are_no_permutation(self):
+        # 64 tracks; rows 0 and 1 both pick column 0, each by a margin of 1
+        u = np.stack([np.eye(64, dtype=complex)] * 2)
+        u[1, 1, :2] = [1.0, 0.0]
+        picks, _, fast = _adjacent_matches(u)
+        assert picks[1, :3].tolist() == [0, 0, 2] and not fast[1]
+        u[1] = u[0][:, ::-1]
+        picks, _, fast = _adjacent_matches(u)
+        assert picks[1].tolist() == list(range(63, -1, -1)) and fast[1]
 
     def test_exercises_ambiguous_and_zero_paths(self):
         # the inputs above reach the exceptional-bin loop and the refresh floor

@@ -325,7 +325,22 @@ def test_non_finite_result_is_a_numerical_failure(tmp_path, capsys, argv, name):
     assert code == EXIT_TOLERANCE
     assert capsys.readouterr().err == (f"numerical failure: {out / name} would "
                                        "hold a non-finite number; not written\n")
-    assert not (out / name).exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_trajectory_is_not_written(tmp_path, capsys, monkeypatch, fmt):
+    def with_nan(bins):
+        traj = smooth_trajectories(bins)
+        traj.values[1, 5] = np.nan
+        return traj
+
+    monkeypatch.setattr(polysvd.anasvd, "smooth_trajectories", with_nan)
+    out = tmp_path / "o"
+    assert run(["ex1", "--bins", "16", "--format", fmt, "--out", str(out)]) == EXIT_TOLERANCE
+    assert capsys.readouterr().err == (f"numerical failure: {out / f'ex1_smooth.{fmt}'} "
+                                       "would hold a non-finite number; not written\n")
+    assert not out.exists()
 
 
 def _field_names(cls):
