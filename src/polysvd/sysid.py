@@ -12,8 +12,10 @@ x they depend on, as overlapping read-only views of one small zero-padded,
 time-major copy of a block's segment of x.  The convolution multiplies the
 windows by a block-Toeplitz tap matrix, and the lag products are the block
 diagonals of one Gram of the windows against P time-major samples of
-[x; y] per row.  One block is held at a time, so memory stays
-O((L + M) N + block), the frame plus one block.
+[x; y] per row.  The MSE split streams the same convolution blocks:
+each has the matching slice of y subtracted and adds its squared norm
+to the residual sum, so no residual is stored.  One block is held at a
+time, so memory stays O((L + M) N + block), the frame plus one block.
 """
 
 from __future__ import annotations
@@ -117,9 +119,11 @@ def _windows(x: np.ndarray, back: int, start: int, stop: int):
         yield n0, n1, win
 
 
-def _convolve(a: PolyMatrix, x: np.ndarray) -> np.ndarray:
-    """y[n] = sum_p A[p] x[n - p] with zero initial state, n = 0..N-1.
+def _convolved_blocks(a: PolyMatrix, x: np.ndarray):
+    """Yield (n0, n1, out) with out[i] = y[n0 + i], y[n] = sum_p A[p] x[n - p].
 
+    The blocks cover n = n_min..N-1 with zero initial state (y[n] = 0 for
+    n < n_min); out is a fresh, writable, time-major (n1 - n0, M) array.
     One GEMM per window block (back = T - 1): the P outputs of polyphase
     group g are win[g] @ H, with the block-Toeplitz tap matrix H of shape
     ((P + T - 1) L, P M) whose block (i, p) is the transposed tap
@@ -130,14 +134,20 @@ def _convolve(a: PolyMatrix, x: np.ndarray) -> np.ndarray:
         raise ValueError("convolution requires a causal system")
     n = x.shape[1]
     n_out, n_src, n_taps = a.coeffs.shape
-    y = np.zeros((n_out, n), dtype=np.complex128)
     h = np.zeros((_PHASES + n_taps - 1, n_src, _PHASES, n_out), dtype=np.complex128)
     for p in range(_PHASES):
         h[p : p + n_taps, :, p] = a.coeffs[:, :, ::-1].T
     h = h.reshape((_PHASES + n_taps - 1) * n_src, _PHASES * n_out)
     for n0, n1, win in _windows(x, n_taps - 1, 0, n - a.n_min):
         out = (win @ h).reshape(-1, n_out)
-        y[:, a.n_min + n0 : a.n_min + n1] = out[: n1 - n0].T
+        yield a.n_min + n0, a.n_min + n1, out[: n1 - n0]
+
+
+def _convolve(a: PolyMatrix, x: np.ndarray) -> np.ndarray:
+    """y[n] = sum_p A[p] x[n - p] with zero initial state, n = 0..N-1."""
+    y = np.zeros((a.rows, x.shape[1]), dtype=np.complex128)
+    for n0, n1, out in _convolved_blocks(a, x):
+        y[:, n0:n1] = out.T
     return y
 
 
@@ -250,7 +260,8 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     d = (j_hat + 1) * n_src
     if reg is None:
         reg = 1e-10 * float(np.real(np.trace(r_xx))) / d
-    lhs = r_xx + reg * np.eye(d)
+    lhs = r_xx
+    lhs.flat[:: d + 1] += reg  # R_xx + reg I, in place
     lam = np.linalg.eigvalsh(lhs)
     condition = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
     # R_xx is Hermitian, so solving lhs^T Z = R_yx^T gives Z^T = A_hat
@@ -277,16 +288,33 @@ def mse_decomposition(
 ) -> MseReport:
     """Check xi_MSE = sum_n ||E[n]||_F^2 + M sigma_v^2 on the sample record.
 
-    xi_mse averages over the post-transient samples (n >= J_hat); the gap
-    term reports the absolute mismatch of the decomposition.  The residual
-    is the only N-length array made.
+    xi_mse averages ||(A_hat * x)[n] - y[n]||^2 over the post-transient
+    samples n = J_hat..N-1, with zero initial state; the gap term reports
+    the absolute mismatch of the decomposition.  The residual is summed one
+    convolution block at a time: each block of A_hat * x has the matching
+    time-major slice of y subtracted in place and adds its squared norm, so
+    no N-length array is made.  Raises ValueError when J_hat is outside
+    0..N-1 or A_hat does not map the frame's sources to its outputs.
     """
-    resid = _convolve(est.A_hat, frame.x)  # y_hat, made y_hat - y in place
-    resid -= frame.y
-    resid[:, : est.J_hat] = 0  # the transient; the rest sums as one dot product
-    xi = float(np.vdot(resid, resid).real) / (frame.n_samples - est.J_hat)
+    x, y, n, j_hat = frame.x, frame.y, frame.n_samples, est.J_hat
+    if not 0 <= j_hat < n:
+        raise ValueError(f"J_hat = {j_hat} must lie in 0..{n - 1} for "
+                         f"n_samples = {n}")
+    if (est.A_hat.rows, est.A_hat.cols) != (y.shape[0], x.shape[0]):
+        raise ValueError(f"A_hat is {est.A_hat.rows}x{est.A_hat.cols} but the "
+                         f"frame has {y.shape[0]} outputs and {x.shape[0]} sources")
+    # before n_min the estimate outputs zero, so the residual is -y there
+    head = y[:, j_hat : max(j_hat, est.A_hat.n_min)]
+    sq_sum = np.vdot(head, head).real
+    for n0, n1, out in _convolved_blocks(est.A_hat, x):
+        lo = max(n0, j_hat)
+        if lo < n1:
+            resid = out[lo - n0 :]
+            resid -= y[:, lo:n1].T
+            sq_sum += np.vdot(resid, resid).real
+    xi = float(sq_sum) / (n - j_hat)
     err_energy = error_system(est, sys).frob_energy()
-    noise_floor = frame.y.shape[0] * frame.sigma2_v
+    noise_floor = y.shape[0] * frame.sigma2_v
     return MseReport(
         xi_mse=xi,
         error_energy=err_energy,

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from polysvd import (
     example1,
     smooth_trajectories,
 )
-from polysvd import cli
+from polysvd import cli, sysid
 from polysvd.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -293,6 +294,23 @@ class TestSysid:
         assert code == EXIT_OK
         rep = json.loads((out / "sysid_report.json").read_text())
         assert rep["error_energy"] <= 1e-6 * example1().A.frob_energy()
+
+    def test_memory_is_frame_plus_blocks(self, tmp_path):
+        # the (2, N) x and y are 25.6 MB here; identification and the MSE
+        # split may hold a few window blocks beyond them, but no N-length
+        # array such as the 12.8 MB residual; a short first run keeps the
+        # command's lazy imports out of the trace
+        n = 400000
+        assert run(["sysid", "--N", "1000", "--out", str(tmp_path / "w")]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = run(["sysid", "--N", str(n), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        frame = 2 * 2 * n * 16
+        assert peak <= frame + 4 * 16 * sysid._BLOCK_ENTRIES
 
     @pytest.mark.parametrize("args, message", [
         (["--N", "2"], "n_samples = 2 must exceed the system order 2"),

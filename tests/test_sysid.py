@@ -28,9 +28,10 @@ from polysvd.sysid import SignalFrame, _convolve, _stacked_correlations, _window
 
 
 def system_from(a: PolyMatrix) -> GroundTruthSystem:
-    eye = PolyMatrix.identity(a.rows)
     zero = PolyMatrix.zeros(1, 1)
-    return GroundTruthSystem(U=eye, sigmas=(zero,) * a.rows, V=eye, A=a)
+    return GroundTruthSystem(U=PolyMatrix.identity(a.rows),
+                             sigmas=(zero,) * min(a.rows, a.cols),
+                             V=PolyMatrix.identity(a.cols), A=a)
 
 
 class TestCausalVersion:
@@ -141,9 +142,10 @@ class TestConvolve:
             _convolve(PolyMatrix(np.ones((1, 1, 2)), -1), np.ones((1, 5)))
 
     def test_memory_is_output_plus_blocks(self):
-        # beyond its output (the frame, for simulate), each call may hold
-        # window or noise blocks but no N-length copy of x or (M, N) noise
-        # draw (4.8 MB each here, against a slack of 2.1 MB)
+        # beyond its output (the frame, for simulate; nothing, for
+        # mse_decomposition), each call may hold window or noise blocks but no
+        # N-length copy of x, (M, N) noise draw or residual (4.8 MB each
+        # here, against a slack of 2.1 MB)
         from polysvd.sysid import WienerEstimate
 
         sys = bigsys(SeededRng(3))
@@ -163,7 +165,7 @@ class TestConvolve:
             finally:
                 tracemalloc.stop()
             assert simulate_peak <= frame.x.nbytes + frame.y.nbytes + slack, sigma2_v
-            assert mse_peak <= frame.y.nbytes + slack, sigma2_v
+            assert mse_peak <= slack, sigma2_v
 
 
 class TestSimulate:
@@ -431,6 +433,51 @@ class TestErrorSystem:
 
 
 class TestMseDecomposition:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_streamed_xi_equals_explicit_residual_property(self, data):
+        # any causal A_hat, delayed (n_min > 0, also past N) or rectangular,
+        # against the explicit (M, N) residual summed over n >= J_hat
+        n_src = data.draw(st.integers(1, 4), label="L")
+        n_out = data.draw(st.integers(1, 4), label="M")
+        n_taps = data.draw(st.integers(1, 6), label="taps")
+        n_min = data.draw(st.integers(0, 3), label="n_min")
+        n = data.draw(st.integers(1, 80), label="N")
+        order = n_min + n_taps - 1  # T - 1
+        j_hat = data.draw(st.one_of(st.just(0), st.just(min(order, n - 1)),
+                                    st.integers(min(order + 1, n - 1), n - 1)),
+                          label="J_hat")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = PolyMatrix(random_complex(rng, n_out, n_src, n_taps), n_min)
+        frame = SignalFrame(x=random_complex(rng, n_src, n),
+                            y=random_complex(rng, n_out, n), sigma2_v=0.0,
+                            n_samples=n)
+        est = sysid.WienerEstimate(A_hat=a, J_hat=j_hat, regularization=0.0)
+        with small_budget(data), drawn_phases(data):
+            rep = mse_decomposition(frame, est, system_from(a))
+            resid = (_convolve(a, frame.x) - frame.y)[:, j_hat:]
+        want = np.vdot(resid, resid).real / (n - j_hat)
+        assert abs(rep.xi_mse - want) <= 1e-12 * want
+        assert rep.error_energy == 0.0
+
+    @pytest.mark.parametrize("j_hat", [-1, 20, 25])
+    def test_rejects_transient_outside_record(self, j_hat):
+        frame = simulate(example1(), 20, 0.01, SeededRng(15))
+        truth = causal_version(example1().A)[0]
+        est = sysid.WienerEstimate(A_hat=truth, J_hat=j_hat, regularization=0.0)
+        with pytest.raises(ValueError, match=f"^J_hat = {j_hat} must lie in "
+                                             r"0\.\.19 for n_samples = 20$"):
+            mse_decomposition(frame, est, example1())
+
+    @pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (1, 1)])
+    def test_rejects_estimate_of_other_dimensions(self, rows, cols):
+        frame = simulate(example1(), 20, 0.01, SeededRng(15))
+        est = sysid.WienerEstimate(A_hat=PolyMatrix(np.ones((rows, cols, 3)), 0),
+                                   J_hat=2, regularization=0.0)
+        with pytest.raises(ValueError, match=f"^A_hat is {rows}x{cols} but the frame "
+                                             "has 2 outputs and 2 sources$"):
+            mse_decomposition(frame, est, example1())
+
     def test_perfect_noiseless_all_zero(self):
         sys = example1()
         frame = simulate(sys, 5000, 0.0, SeededRng(10))
