@@ -6,7 +6,6 @@ Wiener-solution system identification."""
 __version__ = "0.1.0"
 
 from .polymat import PolyMatrix, TRIM_TOL
-from .densela import SvdResult, svd
 from .anasvd import (
     AssociationAmbiguous,
     BinwiseSvd,

@@ -7,8 +7,12 @@ Two views of the singular values of A(e^{j omega}) on a uniform grid:
   one continuous singular-value function, which may cross zero and other
   tracks.
 
-The smooth association is a one-pass greedy procedure; diagnostics extract
-the minimum track gap and the minimum smallest value over the grid.
+The smooth association runs in two batched stages.  First every bin is
+matched: a clear match against the bin before it, tested for all adjacent
+pairs at once, or else the greedy match against its reference, the last
+non-ambiguous bin.  Then one pass composes the matches into track orders,
+phases and signs.  Diagnostics extract the minimum track gap and the
+minimum smallest value over the grid.
 """
 
 from __future__ import annotations

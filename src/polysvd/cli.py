@@ -108,13 +108,24 @@ def _write_outputs(out: Path, outputs: list) -> None:
     """Create ``out`` and write each (path, writer) of the *_output helpers
     in order, noting each overwrite on stderr.  The helpers refuse a
     non-finite number when called, so a command that builds all its outputs
-    first writes nothing when one is refused."""
-    out.mkdir(parents=True, exist_ok=True)
-    for path, write in outputs:
-        if path.exists():
-            print(f"note: overwriting {path}", file=_sys.stderr)
-        with path.open("w") as fh:
-            write(fh)
+    first writes nothing when one is refused.  So is an ``out`` that is not
+    a directory or an output path that is one; that, and an OSError from
+    creating or opening a path, raise _UsageError."""
+    if out.exists() and not out.is_dir():
+        raise _UsageError(f"cannot write {out}: not a directory")
+    for path, _ in outputs:
+        if path.is_dir():
+            raise _UsageError(f"cannot write {path}: is a directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, write in outputs:
+            if path.exists():
+                print(f"note: overwriting {path}", file=_sys.stderr)
+            with path.open("w") as fh:
+                write(fh)
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot write {exc.filename or out}: {exc.strerror or exc}") from None
 
 
 def _level_tag(kind: str, level: float) -> str:
@@ -382,13 +393,13 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         _validate(ns)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[ns.subcommand](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    try:  # a non-finite result is reported once, before anything is written
-        with np.errstate(all="ignore"):
-            return _COMMANDS[ns.subcommand](ns)
     except FloatingPointError as exc:
+        # a non-finite result is reported once, before anything is written
         print(f"numerical failure: {exc}; not written", file=_sys.stderr)
         return EXIT_TOLERANCE
 

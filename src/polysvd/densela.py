@@ -1,11 +1,10 @@
 """Dense complex SVD: the stacked kernel that every singular value in the
-package goes through, and its single-matrix form."""
+package goes through."""
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,35 +13,6 @@ import numpy as np
 # small next to the output, so the peak memory is the output plus a chunk
 # per worker.
 _BLOCK = 256
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD factors: A = U diag(sigma) V^H.
-
-    U is M x M unitary, V is L x L unitary, sigma holds the min(M, L)
-    singular values sorted descending and nonnegative.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.U.shape[0], self.V.shape[0]
-        s = np.zeros((m, n), dtype=np.complex128)
-        r = self.sigma.size
-        s[:r, :r] = np.diag(self.sigma)
-        return self.U @ s @ self.V.conj().T
-
-
-def svd(a) -> SvdResult:
-    """Full SVD of one complex matrix: slice 0 of ``svd_stack(a[None])``."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    u, s, v = svd_stack(a[None])
-    return SvdResult(U=u[0], sigma=s[0], V=v[0])
 
 
 def _workers(k: int) -> int:

@@ -164,7 +164,7 @@ def bin_histogram_trials(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    a0 = sys.A.eval(omega0)
+    a0 = sys.A.eval_at([omega0])[0]
     # rows t*M .. t*M + M - 1 are trial t, drawn as per-trial draws would be
     err = random_error(trials * sys.rows, sys.cols, sys.A.order, sigma2_e, rng)
     e0 = err.eval_at([omega0])[0].reshape(trials, sys.rows, sys.cols)
@@ -199,15 +199,12 @@ def _ive(nu: int, x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def _rician_mean_factor(theta: float) -> float:
-    # E[X]/s for theta = nu/s, via exponentially scaled Bessel functions
+def _rician_moments(theta: float) -> Tuple[float, float]:
+    # (E[X]/s, Var[X]/s^2) for theta = nu/s, via exponentially scaled
+    # Bessel functions
     a = 0.25 * theta * theta
-    return _SQRT_HALF_PI * ((1.0 + 2.0 * a) * _ive(0, a) + 2.0 * a * _ive(1, a))
-
-
-def _rician_var_factor(theta: float) -> float:
-    h = _rician_mean_factor(theta)
-    return 2.0 + theta * theta - h * h
+    h = _SQRT_HALF_PI * ((1.0 + 2.0 * a) * _ive(0, a) + 2.0 * a * _ive(1, a))
+    return h, 2.0 + theta * theta - h * h
 
 
 def rician_fit(samples) -> RicianFit:
@@ -216,10 +213,10 @@ def rician_fit(samples) -> RicianFit:
     The variance-to-squared-mean ratio pins theta = nu/s as the root of a
     decreasing gap function: hi doubles from 1 until the gap turns
     nonpositive, then bisection halves [0, hi] until its width is at most
-    1e-13 + 8.9e-16 hi, and theta is the bracket's midpoint.  The scale
-    follows from the mean.  Sample ratios at or above the Rayleigh limit
-    (4 - pi)/pi yield the degenerate nu = 0 fit with the mean matched and
-    the variance mismatch reported in the residual.
+    1e-13 + 8.9e-16 hi, and theta is the bracket's midpoint.  Sample ratios
+    at or above the Rayleigh limit (4 - pi)/pi give theta = 0, the
+    degenerate nu = 0 fit, with the variance mismatch reported in the
+    residual.  The scale follows from the mean at theta.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 100:
@@ -236,15 +233,13 @@ def rician_fit(samples) -> RicianFit:
     if var <= 0.0 or m1 <= 0.0:
         raise ValueError("degenerate samples: no spread to fit")
     rho = var / (m1 * m1)
-    rho0 = _rician_var_factor(0.0) / _rician_mean_factor(0.0) ** 2
-    if rho >= rho0:
-        theta = 0.0
-        s = m1 / _SQRT_HALF_PI
-    else:
-        def gap(t):
-            h = _rician_mean_factor(t)
-            return _rician_var_factor(t) / (h * h) - rho
 
+    def gap(t):
+        h, v = _rician_moments(t)
+        return v / (h * h) - rho
+
+    theta = 0.0
+    if gap(0.0) > 0.0:  # below the Rayleigh limit
         hi = 1.0
         while gap(hi) > 0.0:
             hi *= 2.0
@@ -258,12 +253,10 @@ def rician_fit(samples) -> RicianFit:
             else:
                 hi = mid
         theta = 0.5 * (lo + hi)
-        s = m1 / _rician_mean_factor(theta)
-    nu = theta * s
-    residual = abs(s * _rician_mean_factor(theta) - m1) + abs(
-        s * s * _rician_var_factor(theta) - var
-    )
-    return RicianFit(nu=float(nu), s=float(s), residual=float(residual),
+    h, v = _rician_moments(theta)
+    s = m1 / h
+    residual = abs(s * h - m1) + abs(s * s * v - var)
+    return RicianFit(nu=float(theta * s), s=float(s), residual=float(residual),
                      n=int(x.size))
 
 

@@ -178,18 +178,19 @@ class PolyMatrix:
         """A(e^{j omega}) = sum_n A[n] e^{-j omega n} (the z^{-n} convention)
         at each omega of a sequence, as a (len(omegas), M, L) array.
 
-        One product over all the omegas, whose BLAS path depends on their
-        count, so a frequency's value can differ in the last bits with the
-        other frequencies in the call (eval(omega) is not bitwise
-        eval_at([..., omega, ...]) at that omega).
+        The taps are summed in order in real arithmetic, so a frequency's
+        value is bitwise the same whatever other frequencies share the call:
+        eval_at(omegas)[k] equals eval_at([omegas[k]])[0].  numpy's complex
+        product would round by the loop it takes.
         """
         powers = self._n_min + np.arange(self.n_taps)
-        phases = np.exp(-1j * np.outer(omegas, powers))  # (K, T)
-        return np.tensordot(phases, np.moveaxis(self._coeffs, 2, 0), axes=(1, 0))
-
-    def eval(self, omega: float) -> np.ndarray:
-        """Value on the unit circle at z = e^{j omega}."""
-        return self.eval_at([omega])[0]
+        phases = np.exp(-1j * np.outer(powers, omegas))  # (T, K): K innermost
+        taps = np.moveaxis(self._coeffs, 2, 0)[..., None]  # (T, M, L, 1)
+        out = np.zeros((self.rows, self.cols, phases.shape[1]), dtype=np.complex128)
+        for p, q, c, d in zip(phases.real, phases.imag, taps.real, taps.imag):
+            out.real += p * c - q * d
+            out.imag += p * d + q * c
+        return np.ascontiguousarray(np.moveaxis(out, 2, 0))
 
     def eval_grid(self, n_bins: int) -> np.ndarray:
         """Values at the uniform grid omega_k = 2 pi k / K, k = 0..K-1.

@@ -81,7 +81,7 @@ class TestBinwiseSvd:
         for k in (0, 3, 7):
             r = b.sigma.shape[1]
             recon = (b.U[k][:, :r] * b.sigma[k]) @ b.V[k][:, :r].conj().T
-            assert np.abs(recon - a.eval(b.omegas[k])).max() < 1e-12
+            assert np.abs(recon - a.eval_at([b.omegas[k]])[0]).max() < 1e-12
 
 
 class TestMajorized:
@@ -156,7 +156,7 @@ class TestSmooth:
         mj = majorized_trajectories(b)
         sm = smooth_trajectories(b)
         for k in range(b.n_bins):
-            target = a.eval(b.omegas[k])
+            target = a.eval_at([b.omegas[k]])[0]
             recon_mj = sum(
                 np.outer(b.U[k][:, m], b.V[k][:, m].conj()) * mj.values[m, k]
                 for m in range(2)
@@ -282,7 +282,7 @@ class TestSmoothBigsys:
         sys, b, sm = tracked
         for k in range(0, self.K, 241):
             recon = (sm.U[k] * sm.values[:, k]) @ sm.V[k].conj().T
-            assert np.abs(recon - sys.A.eval(b.omegas[k])).max() <= 1e-10
+            assert np.abs(recon - sys.A.eval_at([b.omegas[k]])[0]).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_coarse_grid_ambiguous(self, seed):

@@ -159,7 +159,7 @@ class TestBinHistogramTrials:
     def test_zero_noise_exact(self):
         sys = example1()
         samples = bin_histogram_trials(sys, np.pi, 150, 0.0, SeededRng(0))
-        truth = np.linalg.svd(sys.A.eval(np.pi), compute_uv=False)
+        truth = np.linalg.svd(sys.A.eval_at([np.pi])[0], compute_uv=False)
         assert np.abs(samples - truth[:, None]).max() < 1e-14
 
     def test_smallest_bounded_away_from_zero(self):
@@ -191,15 +191,21 @@ class TestBinHistogramTrials:
     @pytest.mark.parametrize("omega0", [np.pi, 0.7])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_per_trial_tap_contraction(self, omega0, seed):
-        # the (trials, M, L, T) draw contracted with e^{-j omega0 t} per tap,
+        # the (trials, M, L, T) draw weighted by e^{-j omega0 t} and summed
+        # tap by tap in order, each product from real and imaginary parts:
         # the formula the stacked random_error + eval_at replaces
         sys = example1()
         g = SeededRng(seed).generator()
         order = sys.A.order
         taps = complex_normal(g, (300, sys.rows, sys.cols, order + 1), 1e-4)
         phases = np.exp(-1j * omega0 * np.arange(order + 1))
-        e0 = np.tensordot(taps, phases, axes=(3, 0))
-        want = np.linalg.svd(sys.A.eval(omega0) + e0, compute_uv=False).T
+        e0 = np.zeros(taps.shape[:3], dtype=complex)
+        for t in range(order + 1):
+            p, q = phases[t].real, phases[t].imag
+            c, d = taps[..., t].real, taps[..., t].imag
+            e0.real += p * c - q * d
+            e0.imag += p * d + q * c
+        want = np.linalg.svd(sys.A.eval_at([omega0])[0] + e0, compute_uv=False).T
         got = bin_histogram_trials(sys, omega0, 300, 1e-4, SeededRng(seed))
         assert np.array_equal(got, want)
 
@@ -282,7 +288,7 @@ class TestRicianFit:
 
 class TestStewartBounds:
     def test_zero_perturbation(self):
-        a = example1().A.eval(0.7)
+        a = example1().A.eval_at([0.7])[0]
         chk = stewart_bounds(a, np.zeros((2, 2)), 1)
         assert chk.varsigma == pytest.approx(chk.sigma_true, abs=1e-12)
         assert chk.holds
@@ -299,7 +305,7 @@ class TestStewartBounds:
 
     def test_example1_rank_deficient_bin(self):
         sys = example1()
-        a0 = sys.A.eval(np.pi)
+        a0 = sys.A.eval_at([np.pi])[0]
         rng = SeededRng(17).generator()
         powers = sys.A.n_min + np.arange(sys.A.n_taps)
         phases = np.exp(-1j * np.pi * powers)
@@ -345,7 +351,7 @@ class TestStewartProjection:
 
     def test_example1_rank_one_bin(self):
         # sigma_2 = 0 at omega = pi: P is rank one, spanned by u_1
-        a = example1().A.eval(np.pi)
+        a = example1().A.eval_at([np.pi])[0]
         e = 1e-2 * _complex_normal(np.random.default_rng(6), 2, 2)
         u1 = np.linalg.svd(a)[0][:, :1]
         p = u1 @ u1.conj().T

@@ -187,29 +187,30 @@ class TestParahermitian:
         a = random_polymat(3, 4, 5, -1)
         ap = a.parahermitian()
         for om in RNG.uniform(0, 2 * np.pi, 32):
-            assert np.abs(ap.eval(om) - a.eval(om).conj().T).max() < 1e-12
+            want = a.eval_at([om])[0].conj().T
+            assert np.abs(ap.eval_at([om])[0] - want).max() < 1e-12
 
 
 class TestEval:
     def test_sigma1_at_zero(self):
         s1 = PolyMatrix(np.array([0.25, 1, 0.25], dtype=complex).reshape(1, 1, 3), -1)
-        assert s1.eval(0.0)[0, 0] == pytest.approx(1.5)
+        assert s1.eval_at([0.0])[0, 0, 0] == pytest.approx(1.5)
 
     def test_sigma2_at_half_pi(self):
         s2 = PolyMatrix(np.array([-1j, 0, 1j]).reshape(1, 1, 3), -1)
-        assert s2.eval(np.pi / 2)[0, 0] == pytest.approx(2.0)
+        assert s2.eval_at([np.pi / 2])[0, 0, 0] == pytest.approx(2.0)
 
     def test_zero_matrix(self):
         z = PolyMatrix.zeros(2, 2)
-        assert np.all(z.eval(1.234) == 0)
+        assert np.all(z.eval_at([1.234])[0] == 0)
 
     def test_mul_matches_pointwise_product(self):
         a = random_polymat(2, 3, 4, -2)
         b = random_polymat(3, 3, 5, 1)
         p = a @ b
         for om in RNG.uniform(0, 2 * np.pi, 16):
-            lhs = p.eval(om)
-            rhs = a.eval(om) @ b.eval(om)
+            lhs = p.eval_at([om])[0]
+            rhs = a.eval_at([om])[0] @ b.eval_at([om])[0]
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
     def test_eval_at_shape_and_eval(self):
@@ -218,7 +219,24 @@ class TestEval:
         vals = a.eval_at(omegas)
         assert vals.shape == (3, 2, 3)
         for om, v in zip(omegas, vals):
-            assert np.abs(a.eval(om) - v).max() <= 1e-12 * np.abs(a.coeffs).sum()
+            assert np.array_equal(a.eval_at([om])[0], v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_eval_at_is_batch_independent(self, data):
+        # a frequency's value has the same bits whatever shares the call
+        shape = (data.draw(st.integers(1, 6), label="M"),
+                 data.draw(st.integers(1, 6), label="L"),
+                 data.draw(st.integers(1, 32), label="T"))
+        n_min = data.draw(st.integers(-16, 16), label="n_min")
+        n_omegas = data.draw(st.integers(1, 300), label="n_omegas")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = PolyMatrix(c, n_min)
+        omegas = rng.uniform(-2 * np.pi, 4 * np.pi, n_omegas)
+        vals = a.eval_at(omegas)
+        for om, v in zip(omegas, vals):
+            assert np.array_equal(a.eval_at([om])[0], v)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -241,7 +259,7 @@ class TestEval:
 class TestEvalGrid:
     def test_single_bin(self):
         a = random_polymat(2, 2, 3, -1)
-        assert np.array_equal(a.eval_grid(1)[0], a.eval(0.0))
+        assert np.array_equal(a.eval_grid(1)[0], a.eval_at([0.0])[0])
 
     def test_example1_sigma1_k4(self):
         s1 = PolyMatrix(np.array([0.25, 1, 0.25], dtype=complex).reshape(1, 1, 3), -1)
@@ -257,7 +275,7 @@ class TestEvalGrid:
         a = random_polymat(3, 3, 7, -3)
         g = a.eval_grid(17)
         for k in range(17):
-            assert np.abs(g[k] - a.eval(2 * np.pi * k / 17)).max() < 1e-12
+            assert np.abs(g[k] - a.eval_at([2 * np.pi * k / 17])[0]).max() < 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -290,7 +308,7 @@ class TestEvalGrid:
         direct = a.eval_at(2.0 * np.pi * np.arange(4096) / 4096)
         assert np.abs(g - direct).max() <= 1e-12 * (1.0 + np.abs(a.coeffs).sum())
         for k in (0, 1, 1000, 2048, 4095):
-            assert np.abs(g[k] - a.eval(2 * np.pi * k / 4096)).max() < 1e-12
+            assert np.abs(g[k] - a.eval_at([2 * np.pi * k / 4096])[0]).max() < 1e-12
 
     @pytest.mark.parametrize("n_bins", [7, 8, 64])
     def test_causal_grid_is_zero_padded_fft(self, n_bins):
@@ -335,8 +353,8 @@ def _transform_call_sites():
 
 
 def test_eval_grid_and_eval_at_are_the_only_evaluators():
-    assert sorted(_transform_call_sites()) == [
-        "polymat.PolyMatrix.eval_at", "polymat.PolyMatrix.eval_grid"]
+    # eval_at sums its taps elementwise and calls neither
+    assert sorted(_transform_call_sites()) == ["polymat.PolyMatrix.eval_grid"]
 
 
 def _draw_polymat(data, rows, cols, label):
