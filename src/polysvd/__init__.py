@@ -11,6 +11,7 @@ from .anasvd import (
     BinwiseSvd,
     DiagnosticsReport,
     SvTrajectories,
+    aligned_vectors,
     binwise_svd,
     diagnostics,
     majorized_trajectories,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,26 +75,23 @@ class SvTrajectories:
     """Singular-value tracks over the grid.
 
     values is (R, K).  In smooth mode, permutations[k] maps each track to
-    the majorized bin index it took at bin k, signs holds the applied sign
-    per track and bin, and U/V hold the phase-aligned singular vectors of
-    each track (columns ordered by track).  wrap_permutation/wrap_signs
-    report how the tracks would continue from the last bin back into bin 0;
-    wrap consistency is reported, never enforced.  ambiguous_bins lists, in
-    ascending order, the bins whose association was ambiguous (empty when
-    there are none).
-
-    The smooth U and V are transposed views of C-ordered (K, R, M) and
-    (K, R, L) arrays, so each track's vector at a bin is contiguous;
-    np.ascontiguousarray gives the C-ordered (K, M, R) and (K, L, R) arrays.
+    the majorized bin index it took at bin k, phases[k] holds the unit
+    phase that aligns each track's singular vectors at bin k with the
+    track's left vector at its reference bin, and signs holds the applied
+    sign per track and bin.  aligned_vectors(bins, traj) rebuilds from
+    these the phase-aligned, signed singular vectors of each track.
+    wrap_permutation/wrap_signs report how the tracks would continue from
+    the last bin back into bin 0; wrap consistency is reported, never
+    enforced.  ambiguous_bins lists, in ascending order, the bins whose
+    association was ambiguous (empty when there are none).
     """
 
     mode: str  # "majorized" | "smooth"
     omegas: np.ndarray
     values: np.ndarray
     permutations: Optional[np.ndarray] = None  # (K, R) int
+    phases: Optional[np.ndarray] = None        # (K, R) complex, |.| = 1
     signs: Optional[np.ndarray] = None         # (R, K) in {-1, +1}
-    U: Optional[np.ndarray] = field(default=None, repr=False)  # (K, M, R)
-    V: Optional[np.ndarray] = field(default=None, repr=False)  # (K, L, R)
     wrap_permutation: Optional[np.ndarray] = None
     wrap_signs: Optional[np.ndarray] = None
     ambiguous_bins: Optional[np.ndarray] = None  # (n,) int
@@ -230,9 +227,20 @@ def _adjacent_matches(u: np.ndarray):
     return a, w, fast
 
 
-def _track_signs(vt: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Signs (K, R) of the phase-aligned right vectors vt (K, R, L), vt[k, m]
-    the vector of track m at bin k.
+def _aligned_rows(x: np.ndarray, perms: np.ndarray, phases: np.ndarray,
+                  k, m) -> np.ndarray:
+    """The phase-aligned vectors of tracks m at bins k, as rows: column
+    perms[k, m] of x[k] times phases[k, m], for index arrays k and m that
+    broadcast together."""
+    rows = x[k, :, perms[k, m]]
+    rows *= phases[k, m][..., None]
+    return rows
+
+
+def _track_signs(v: np.ndarray, perms: np.ndarray, phases: np.ndarray,
+                 refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Signs (K, R) of the phase-aligned right vectors of the tracks: at bin
+    k, track m takes column perms[k, m] of v[k] (K, L, L) times phases[k, m].
 
     refresh marks the bins where a track refreshes its reference and last
     holds the last refresh bin <= k (-1 for none).  A track's sign reference
@@ -240,16 +248,18 @@ def _track_signs(vt: np.ndarray, refresh: np.ndarray, last: np.ndarray) -> np.nd
     of Re <v[r], v[k]>, and +1 when the track has no reference yet or that
     inner product is exactly zero (a reset).  The refresh bins chain to
     each other, so s_r is the parity of the negative steps along the chain
-    since its last reset: a cumulative count, exact.
+    since its last reset: a cumulative count, exact.  The aligned vectors
+    are gathered one block of _BLOCK bins at a time.
     """
-    k_bins, r, _ = vt.shape
-    rows = vt.reshape(k_bins * r, -1)
+    k_bins, r = perms.shape
     tracks = np.arange(r)
     x = np.zeros((k_bins, r))
     for b0 in range(1, k_bins, _BLOCK):
         b1 = min(b0 + _BLOCK, k_bins)
-        v_ref = rows[np.maximum(last[b0 - 1:b1 - 1], 0) * r + tracks]
-        x[b0:b1] = np.einsum("kji,kji->kj", v_ref.conj(), vt[b0:b1]).real
+        v_ref = _aligned_rows(v, perms, phases,
+                              np.maximum(last[b0 - 1:b1 - 1], 0), tracks)
+        v_cur = _aligned_rows(v, perms, phases, np.arange(b0, b1)[:, None], tracks)
+        x[b0:b1] = np.einsum("kji,kji->kj", v_ref.conj(), v_cur).real
     reset = x == 0.0  # bin 0 has no reference: x stays 0 there
     reset[1:] |= last[:-1] < 0
     negative = x < 0.0
@@ -316,8 +326,9 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
 
     1. match bin-k triples to the tracks greedily, in descending order of
        the left-singular-vector overlap |<u_prev, u_cur>|;
-    2. rotate (u_cur, v_cur) by the common unit phase that makes
-       <u_prev, u_cur> real and positive;
+    2. record the common unit phase that makes <u_prev, u_cur> real and
+       positive; it aligns (u_cur, v_cur) wherever they are read, but
+       bins.U and bins.V are never rotated in place or copied aligned;
     3. if Re <v_ref, v_cur> < 0 for the track's reference right vector,
        negate v_cur and the singular value at this bin (a sign change of
        the underlying analytic singular value);
@@ -340,6 +351,9 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     _associate).  Signs follow from the refresh chain as a cumulative
     product of +-1 (see _track_signs).
 
+    The aligned vectors, which the association itself reads only one
+    block or bin at a time, are rebuilt on demand by aligned_vectors.
+
     The result is one representative of the sign/permutation equivalence
     class of the analytic singular values: per-track global sign and track
     order are not canonical.
@@ -351,27 +365,24 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     r = bins.n_tracks
     perms, phases, ambiguous, ref = _associate(bins.U, r)
     k = np.arange(k_bins)[:, None]
-    # ut[k, m] and vt[k, m]: the vectors of track m at bin k, gathered as rows
-    ut = bins.U.transpose(0, 2, 1)[k, perms]
-    ut *= phases[:, :, None]
-    vt = bins.V.transpose(0, 2, 1)[k, perms]
-    vt *= phases[:, :, None]
     sigma = bins.sigma.reshape(-1)[perms + k * r]
     smax = bins.sigma.max(axis=1, keepdims=True)
     refresh = ~ambiguous[:, None] & (sigma > _SIGN_REF_REL_FLOOR
                                      * np.where(smax > 0, smax, 1.0))
     last = np.maximum.accumulate(np.where(refresh, k, -1), axis=0)
-    signs = _track_signs(vt, refresh, last)
-    vt *= signs[:, :, None]
+    signs = _track_signs(bins.V, perms, phases, refresh, last)
     values = signs.T * sigma.T
 
     # wrap-around step: continue from the last bin back into bin 0
     tracks = np.arange(r)
-    g = ut[ref].conj() @ bins.U[0][:, :r]
+    u_ref = _aligned_rows(bins.U, perms, phases, ref, tracks)
+    g = u_ref.conj() @ bins.U[0][:, :r]
     wrap_perm, _ = _greedy_match(np.abs(g))
     v = bins.V[0][:, wrap_perm] * _unit(g[tracks, wrap_perm])
-    v_ref = vt[np.maximum(last[-1], 0), tracks].T
-    wrap_signs = np.where((last[-1] >= 0) & _flipped(v_ref, v), -1.0, 1.0)
+    j = np.maximum(last[-1], 0)
+    v_ref = _aligned_rows(bins.V, perms, phases, j, tracks)
+    v_ref *= signs[j, tracks][:, None]
+    wrap_signs = np.where((last[-1] >= 0) & _flipped(v_ref.T, v), -1.0, 1.0)
 
     ambiguous_bins = np.flatnonzero(ambiguous)
     if ambiguous_bins.size:
@@ -390,13 +401,36 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
         omegas=bins.omegas.copy(),
         values=values,
         permutations=perms,
+        phases=phases,
         signs=signs.T.copy(),
-        U=ut.transpose(0, 2, 1),
-        V=vt.transpose(0, 2, 1),
         wrap_permutation=wrap_perm,
         wrap_signs=wrap_signs,
         ambiguous_bins=ambiguous_bins,
     )
+
+
+def aligned_vectors(bins: BinwiseSvd, traj: SvTrajectories):
+    """The phase-aligned, signed singular vectors of the smooth tracks.
+
+    Returns (U, V), (K, M, R) and (K, L, R): column m at bin k is the
+    column permutations[k, m] of bins.U[k] (bins.V[k]) times phases[k, m],
+    and for V also times the track's sign, so that U[k] diag(values[:, k])
+    V[k]^H is A at bin k.  Both are transposed views of C-ordered
+    (K, R, M) and (K, R, L) arrays, so each track's vector at a bin is
+    contiguous.  ``bins`` must be the grid ``traj`` was tracked on.
+    """
+    if traj.mode != "smooth" or traj.n_bins != bins.n_bins:
+        raise ValueError("aligned vectors need smooth-mode trajectories "
+                         "tracked on the same grid")
+    if bins.U is None:
+        raise ValueError("aligned vectors need the singular vectors "
+                         "(binwise_svd with vectors=True)")
+    k = np.arange(bins.n_bins)[:, None]
+    tracks = np.arange(traj.n_tracks)
+    u = _aligned_rows(bins.U, traj.permutations, traj.phases, k, tracks)
+    v = _aligned_rows(bins.V, traj.permutations, traj.phases, k, tracks)
+    v *= traj.signs.T[:, :, None]
+    return u.transpose(0, 2, 1), v.transpose(0, 2, 1)
 
 
 def diagnostics(traj: SvTrajectories) -> DiagnosticsReport:

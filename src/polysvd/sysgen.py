@@ -135,14 +135,24 @@ def random_parahermitian_scalar(length: int, rng) -> PolyMatrix:
     return s + s.parahermitian()
 
 
-def _diag_scalars(sigmas: Sequence[PolyMatrix], rows: int, cols: int) -> PolyMatrix:
+def _stacked_scalars(sigmas: Sequence[PolyMatrix]) -> PolyMatrix:
+    """The 1x1 scalars stacked as the rows of one (R, 1, T) matrix, all
+    aligned to their common lowest power."""
     lo = min(s.n_min for s in sigmas)
     hi = max(s.n_max for s in sigmas)
-    out = np.zeros((rows, cols, hi - lo + 1), dtype=np.complex128)
+    out = np.zeros((len(sigmas), 1, hi - lo + 1), dtype=np.complex128)
     for m, s in enumerate(sigmas):
         t0 = s.n_min - lo
-        out[m, m, t0 : t0 + s.n_taps] = s.coeffs[0, 0]
+        out[m, 0, t0 : t0 + s.n_taps] = s.coeffs[0, 0]
     return PolyMatrix(out, lo)
+
+
+def _diag_scalars(sigmas: Sequence[PolyMatrix], rows: int, cols: int) -> PolyMatrix:
+    stacked = _stacked_scalars(sigmas)
+    out = np.zeros((rows, cols, stacked.n_taps), dtype=np.complex128)
+    m = np.arange(len(sigmas))
+    out[m, m] = stacked.coeffs[:, 0]
+    return PolyMatrix(out, stacked.n_min)
 
 
 def assemble(
@@ -225,10 +235,11 @@ def bigsys(rng) -> GroundTruthSystem:
 def reference_tracks(sys: GroundTruthSystem, n_bins: int) -> np.ndarray:
     """Majorized ground truth: per-bin descending |sigma_m(e^{j omega_k})|.
 
-    Each generator scalar is evaluated on the grid with ``eval_grid``;
-    ``closed_forms`` is not consulted, so it stays an independent oracle.
-    Shape (R, K); comparable track-by-track with majorized trajectories of
-    the (perturbed) assembled system.
+    The generator scalars, stacked as one (R, 1, T) matrix, are evaluated
+    on the grid by one ``eval_grid`` call; ``closed_forms`` is not
+    consulted, so it stays an independent oracle.  Shape (R, K); comparable
+    track-by-track with majorized trajectories of the (perturbed) assembled
+    system.
     """
-    vals = np.stack([np.real(s.eval_grid(n_bins)[:, 0, 0]) for s in sys.sigmas])
+    vals = np.real(_stacked_scalars(sys.sigmas).eval_grid(n_bins)[:, :, 0].T)
     return -np.sort(-np.abs(vals), axis=0)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from polysvd import (
     AssociationAmbiguous,
     PolyMatrix,
+    aligned_vectors,
     binwise_svd,
     diagnostics,
     majorized_trajectories,
@@ -155,6 +156,7 @@ class TestSmooth:
         b = binwise_svd(a, 64)
         mj = majorized_trajectories(b)
         sm = smooth_trajectories(b)
+        u, v = aligned_vectors(b, sm)
         for k in range(b.n_bins):
             target = a.eval_at([b.omegas[k]])[0]
             recon_mj = sum(
@@ -162,7 +164,7 @@ class TestSmooth:
                 for m in range(2)
             )
             recon_sm = sum(
-                np.outer(sm.U[k][:, m], sm.V[k][:, m].conj()) * sm.values[m, k]
+                np.outer(u[k][:, m], v[k][:, m].conj()) * sm.values[m, k]
                 for m in range(2)
             )
             assert np.abs(recon_mj - target).max() < 1e-10
@@ -280,8 +282,9 @@ class TestSmoothBigsys:
 
     def test_reconstruction_at_sampled_bins(self, tracked):
         sys, b, sm = tracked
+        u, v = aligned_vectors(b, sm)
         for k in range(0, self.K, 241):
-            recon = (sm.U[k] * sm.values[:, k]) @ sm.V[k].conj().T
+            recon = (u[k] * sm.values[:, k]) @ v[k].conj().T
             assert np.abs(recon - sys.A.eval_at([b.omegas[k]])[0]).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -290,9 +293,9 @@ class TestSmoothBigsys:
             smooth_trajectories(binwise_svd(bigsys(SeededRng(seed)).A, 4))
 
     def test_memory_is_output_plus_blocks(self):
-        # beyond the 5.3 MB it returns, the association may hold its (K, R)
-        # maps and phases and one block of overlaps, but no (K, M, R) copy
-        # of U or V (2.4 MB each here)
+        # beyond the ~1 MB it returns, the association may hold its (K, R)
+        # maps and phases and one block of overlaps or gathered vectors, but
+        # no (K, M, R) copy of U or V (2.4 MB each here)
         b = binwise_svd(bigsys(SeededRng(1, stream=1)).A, self.K)
         tracemalloc.start()
         try:
@@ -303,6 +306,47 @@ class TestSmoothBigsys:
         returned = sum(np.asarray(x).nbytes for x in vars(sm).values()
                        if not isinstance(x, str))
         assert peak <= returned + 2_000_000
+
+    def test_fields_hold_no_vectors(self, tracked):
+        # the aligned vectors are rebuilt on demand, never kept: no field
+        # holds more than one entry per track and bin
+        _, b, sm = tracked
+        sizes = [x.size for x in vars(sm).values() if isinstance(x, np.ndarray)]
+        assert max(sizes) <= self.K * b.n_tracks
+
+
+class TestAlignedVectors:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), taps=st.integers(1, 4),
+           n_bins=st.sampled_from([1, 3, 16, 64]), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.filterwarnings("ignore::polysvd.anasvd.AssociationAmbiguous")
+    def test_factor_the_grid_with_orthonormal_columns(self, rows, cols, taps,
+                                                      n_bins, seed):
+        rng = np.random.default_rng(seed)
+        c = (rng.standard_normal((rows, cols, taps))
+             + 1j * rng.standard_normal((rows, cols, taps)))
+        a = PolyMatrix(c, -(taps // 2))
+        b = binwise_svd(a, n_bins)
+        sm = smooth_trajectories(b)
+        u, v = aligned_vectors(b, sm)
+        r = min(rows, cols)
+        assert u.shape == (n_bins, rows, r) and v.shape == (n_bins, cols, r)
+        recon = (u * sm.values.T[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        scale = 1.0 + np.abs(c).sum()
+        assert np.abs(recon - a.eval_grid(n_bins)).max() <= 1e-10 * scale
+        eye = np.eye(r)
+        assert np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max() <= 1e-10
+        assert np.abs(v.conj().transpose(0, 2, 1) @ v - eye).max() <= 1e-10
+
+    def test_need_smooth_tracks_and_vectors(self):
+        b = binwise_svd(example1().A, 16)
+        with pytest.raises(ValueError, match="smooth-mode"):
+            aligned_vectors(b, majorized_trajectories(b))
+        with pytest.raises(ValueError, match="same grid"):
+            aligned_vectors(binwise_svd(example1().A, 8), smooth_trajectories(b))
+        with pytest.raises(ValueError, match="singular vectors"):
+            aligned_vectors(binwise_svd(example1().A, 16, vectors=False),
+                            smooth_trajectories(b))
 
 
 def per_bin_smooth(bins):
@@ -409,8 +453,9 @@ def assert_matches_per_bin_loop(b):
     assert sm.ambiguous_bins.tolist() == ambiguous_bins
     assert [str(w.message) for w in caught
             if issubclass(w.category, AssociationAmbiguous)] == messages
-    assert np.abs(sm.U - u_al).max() <= 1e-12
-    assert np.abs(sm.V - v_al).max() <= 1e-12
+    u, v = aligned_vectors(b, sm)
+    assert np.abs(u - u_al).max() <= 1e-12
+    assert np.abs(v - v_al).max() <= 1e-12
 
 
 class TestSmoothEquivalence:

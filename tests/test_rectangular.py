@@ -7,6 +7,7 @@ import pytest
 from polysvd import (
     PerturbConfig,
     SeededRng,
+    aligned_vectors,
     binwise_svd,
     majorized_trajectories,
     perturb_and_analyze,
@@ -41,7 +42,8 @@ class TestRectangular:
         assert bins.V.shape == (K, shape[1], shape[1])
         smooth = smooth_trajectories(bins)
         assert smooth.values.shape == (r, K)
-        assert smooth.U.shape == (K, shape[0], r) and smooth.V.shape == (K, shape[1], r)
+        u, v = aligned_vectors(bins, smooth)
+        assert u.shape == (K, shape[0], r) and v.shape == (K, shape[1], r)
         mags = -np.sort(-np.abs(smooth.values), axis=0)
         assert np.abs(mags - bins.sigma.T).max() <= 1e-12 * bins.sigma.max()
         # the signed tracks are the generator scalars, up to order and sign
