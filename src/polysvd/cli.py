@@ -17,7 +17,10 @@ Every subcommand also takes --seed [0], --out [out] and --format
 
 Every output file embeds the seed, the parsed arguments and the package
 version; a rerun rewrites it byte for byte, noting the overwrite on stderr.
-Exit codes: 0 success, 1 usage error, 2 numerical tolerance failure.
+Each subcommand returns its stdout summary or raises; main alone prints
+it or the one failure line on stderr and picks the exit code: 0 success;
+1 "usage error: ..." or 2 "numerical failure: ...; not written", before
+anything is written; 2 a failed check ("ex1: FAIL ...") after writing.
 """
 
 from __future__ import annotations
@@ -39,6 +42,14 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 
 EX1_TOL = 1e-8
+
+
+class _UsageError(Exception):
+    """Bad input: exit 1 before anything is written."""
+
+
+class _CheckFailed(Exception):
+    """A numerical check failed after the outputs were written: exit 2."""
 
 
 def _meta(ns: argparse.Namespace) -> dict:
@@ -137,27 +148,22 @@ def _level_tag(kind: str, level: float) -> str:
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_ex1(ns: argparse.Namespace) -> int:
+def cmd_ex1(ns: argparse.Namespace) -> str:
     out = Path(ns.out_dir)
     fixture = sysgen.example1()
     if ns.fixture is not None:
         try:
             a = PolyMatrix.from_json_dict(json.loads(Path(ns.fixture).read_text()))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"usage error: cannot read fixture {ns.fixture}: {exc}",
-                  file=_sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"cannot read fixture {ns.fixture}: {exc}") from None
         if (a.rows, a.cols) != (fixture.A.rows, fixture.A.cols):
-            print(f"usage error: fixture must be {fixture.A.rows}x"
-                  f"{fixture.A.cols}", file=_sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"fixture must be {fixture.A.rows}x{fixture.A.cols}")
     else:
         a = fixture.A
     try:
         bins = anasvd.binwise_svd(a, ns.n_bins)
     except ValueError as exc:  # finite taps whose bin sums overflow
-        print(f"usage error: fixture {ns.fixture}: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"fixture {ns.fixture}: {exc}") from None
     smooth = anasvd.smooth_trajectories(bins)
     forms = np.stack([f(smooth.omegas) for f in fixture.closed_forms])
     closed = anasvd.SvTrajectories(mode="smooth", omegas=smooth.omegas.copy(),
@@ -172,14 +178,11 @@ def cmd_ex1(ns: argparse.Namespace) -> int:
                       "n_ambiguous_bins": int(smooth.ambiguous_bins.size)}, ns),
     ])
     if deviation > EX1_TOL:
-        print(f"ex1: FAIL max deviation {deviation:.3e} > {EX1_TOL:.1e}",
-              file=_sys.stderr)
-        return EXIT_TOLERANCE
-    print(f"ex1: max deviation {deviation:.3e} (tol {EX1_TOL:.1e})")
-    return EXIT_OK
+        raise _CheckFailed(f"ex1: FAIL max deviation {deviation:.3e} > {EX1_TOL:.1e}")
+    return f"ex1: max deviation {deviation:.3e} (tol {EX1_TOL:.1e})"
 
 
-def cmd_hist(ns: argparse.Namespace) -> int:
+def cmd_hist(ns: argparse.Namespace) -> str:
     out = Path(ns.out_dir)
     sys_ = sysgen.example1()
     omega0 = float(np.pi)
@@ -190,8 +193,7 @@ def cmd_hist(ns: argparse.Namespace) -> int:
         try:
             fit = perturb.rician_fit(samples[m])
         except ValueError as exc:
-            print(f"hist: cannot fit index {m + 1}: {exc}", file=_sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"hist: cannot fit index {m + 1}: {exc}") from None
         fits.append({"index": m + 1, **dataclasses.asdict(fit)})
     n_index, n_trials = samples.shape
     columns = {"trial": np.repeat(np.arange(n_trials), n_index),
@@ -203,12 +205,11 @@ def cmd_hist(ns: argparse.Namespace) -> int:
                      {"omega0": omega0, "sigma2_e": ns.sigma2_e, "fits": fits,
                       "sample_min": samples.min(axis=1).tolist()}, ns),
     ])
-    print(f"hist: {ns.trials} trials at omega0=pi, "
-          f"min smallest sample {samples[-1].min():.3e}")
-    return EXIT_OK
+    return (f"hist: {ns.trials} trials at omega0=pi, "
+            f"min smallest sample {samples[-1].min():.3e}")
 
 
-def cmd_perturb(ns: argparse.Namespace) -> int:
+def cmd_perturb(ns: argparse.Namespace) -> str:
     out = Path(ns.out_dir)
     sys_ = sysgen.bigsys(sysgen.SeededRng(ns.seed, stream=1 << 20))
     system = sys_.to_json_dict()
@@ -229,28 +230,19 @@ def cmd_perturb(ns: argparse.Namespace) -> int:
         tag = _level_tag(kind, level)
         outputs.append(_traj_output(out / f"perturb_traj_{tag}.{ns.fmt}", traj,
                                     ns, extra={"ref": refs}))
-        outputs.append(_json_output(
-            out / f"perturb_diag_{tag}.json",
-            {
-                kind: level,
-                "trials": [
-                    {"trial": r.trial, "sigma2_norm_actual": r.sigma2_norm_actual,
-                     **dataclasses.asdict(r.report)}
-                    for r in results
-                ],
-            },
-            ns,
-        ))
+        trials = [{"trial": r.trial, "sigma2_norm_actual": r.sigma2_norm_actual,
+                   **dataclasses.asdict(r.report)} for r in results]
+        outputs.append(_json_output(out / f"perturb_diag_{tag}.json",
+                                    {kind: level, "trials": trials}, ns))
         worst_gap = min(r.report.min_gap for r in results)
         worst_small = min(r.report.min_smallest for r in results)
         lines.append(f"perturb: {kind}={level:g} trials={ns.trials} "
                      f"min_gap={worst_gap:.3e} min_smallest={worst_small:.3e}")
     _write_outputs(out, outputs)
-    print("\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines)
 
 
-def cmd_sysid(ns: argparse.Namespace) -> int:
+def cmd_sysid(ns: argparse.Namespace) -> str:
     out = Path(ns.out_dir)
     sys_ = sysgen.example1()
     a_causal, delay = sysid.causal_version(sys_.A)
@@ -260,33 +252,22 @@ def cmd_sysid(ns: argparse.Namespace) -> int:
                                sysgen.SeededRng(ns.seed, stream=0))
         est = sysid.wiener_estimate(frame, j_hat)
     except ValueError as exc:
-        print(f"usage error: sysid --N {ns.n_samples} --order {j_hat}: {exc}",
-              file=_sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"sysid --N {ns.n_samples} --order {j_hat}: {exc}") from None
     err = sysid.error_system(est, sys_)
     report = sysid.mse_decomposition(frame, est, sys_)
-    sigma2_norm = perturb.normalized_variance(err, sys_.A)
-    report_output = _json_output(
-        out / "sysid_report.json",
-        {
-            "N": ns.n_samples,
-            "J_hat": j_hat,
-            "delay": delay,
-            "sigma2_v": ns.sigma2_v,
-            **dataclasses.asdict(report),
-            "sigma2_norm": sigma2_norm,
-            "regularization": est.regularization,
-            "condition": est.condition,
-        },
-        ns,
-    )
-    _write_outputs(out, [report_output,
-                         _json_output(out / "sysid_error_system.json",
-                                      err.to_json_dict(), ns, indent=None)])
-    print(f"sysid: N={ns.n_samples} xi_mse={report.xi_mse:.5g} "
-          f"error_energy={report.error_energy:.5g} "
-          f"gap={report.decomposition_gap:.3g} cond={est.condition:.3g}")
-    return EXIT_OK
+    _write_outputs(out, [
+        _json_output(out / "sysid_report.json",
+                     {"N": ns.n_samples, "J_hat": j_hat, "delay": delay,
+                      "sigma2_v": ns.sigma2_v, **dataclasses.asdict(report),
+                      "sigma2_norm": perturb.normalized_variance(err, sys_.A),
+                      "regularization": est.regularization,
+                      "condition": est.condition}, ns),
+        _json_output(out / "sysid_error_system.json", err.to_json_dict(), ns,
+                     indent=None),
+    ])
+    return (f"sysid: N={ns.n_samples} xi_mse={report.xi_mse:.5g} "
+            f"error_energy={report.error_energy:.5g} "
+            f"gap={report.decomposition_gap:.3g} cond={est.condition:.3g}")
 
 
 # -- argument handling -------------------------------------------------
@@ -295,10 +276,6 @@ def cmd_sysid(ns: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
 
 
 # dest -> (option strings, least value or None, greatest value or None,
@@ -394,7 +371,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         _validate(ns)
         with np.errstate(all="ignore"):
-            return _COMMANDS[ns.subcommand](ns)
+            summary = _COMMANDS[ns.subcommand](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
@@ -402,6 +379,11 @@ def main(argv=None) -> int:
         # a non-finite result is reported once, before anything is written
         print(f"numerical failure: {exc}; not written", file=_sys.stderr)
         return EXIT_TOLERANCE
+    except _CheckFailed as exc:
+        print(exc, file=_sys.stderr)
+        return EXIT_TOLERANCE
+    print(summary)
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -110,7 +110,8 @@ def normalized_variance(err: PolyMatrix, sys_mat: PolyMatrix) -> float:
 
 def scale_to_normalized(err: PolyMatrix, sys_mat: PolyMatrix, target: float) -> PolyMatrix:
     """Rescale ``err`` so that its normalized variance against ``sys_mat``
-    equals ``target`` exactly."""
+    equals ``target`` exactly.  Raises FloatingPointError when the scale
+    overflows."""
     if target < 0:
         raise ValueError("target must be >= 0")
     e_energy = err.frob_energy()
@@ -119,6 +120,9 @@ def scale_to_normalized(err: PolyMatrix, sys_mat: PolyMatrix, target: float) -> 
     if target == 0.0:
         return PolyMatrix.zeros(err.rows, err.cols)
     c = np.sqrt(target * sys_mat.frob_energy() / e_energy)
+    if not np.isfinite(c):
+        raise FloatingPointError(f"the error scale for sigma2_norm = {target:g} "
+                                 "overflows")
     return c * err
 
 

@@ -32,7 +32,9 @@ from .sysgen import GroundTruthSystem, as_generator, complex_normal
 # Window entries of one block: 2**16 complex entries (1 MiB) keep each block
 # GEMM in cache whatever the window length, where a fixed group count would
 # make the blocks of a few-tap system needlessly narrow; simulate draws its
-# noise in blocks of the same size
+# noise in blocks of the same size.  The conjugated [x; y] block of
+# _stacked_correlations is P (L + M) / ((P + J) L) times the window block,
+# so it exceeds this when P M > J L: 1.6x on example 1 (J = 2)
 _BLOCK_ENTRIES = 1 << 16
 
 # Samples per polyphase group P: each GEMM row carries P consecutive
@@ -44,12 +46,20 @@ _PHASES = 8
 
 @dataclass(frozen=True)
 class SignalFrame:
-    """One simulated input/output record."""
+    """One simulated input/output record; x and y hold the same N samples."""
 
     x: np.ndarray  # (L, N) unit-variance uncorrelated sources
     y: np.ndarray  # (M, N) outputs with additive noise
     sigma2_v: float
-    n_samples: int
+
+    def __post_init__(self):
+        if self.x.shape[1] != self.y.shape[1]:
+            raise ValueError(f"x holds {self.x.shape[1]} samples but y holds "
+                             f"{self.y.shape[1]}")
+
+    @property
+    def n_samples(self) -> int:
+        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,7 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
         for i in range(0, flat.size, _BLOCK_ENTRIES):
             blk = flat[i : i + _BLOCK_ENTRIES]
             blk += complex_normal(g, blk.shape, sigma2_v)
-    return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v), n_samples=n_samples)
+    return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v))
 
 
 def _stacked_correlations(frame: SignalFrame, j_hat: int):
@@ -194,7 +204,8 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
     which fills the upper block triangle one row of blocks at a time; the
     lower block triangle is its Hermitian mirror.  Only one window block and
     its Z_blk are held at a time, so memory stays O((L + M) N + block), the
-    frame plus one block.  Raises ValueError when
+    frame plus one block; Z_blk is P (L + M) / ((P + J) L) times the window
+    block (see _BLOCK_ENTRIES).  Raises ValueError when
     count < d = (J + 1) L, where R_xx is singular.
     """
     x, y = frame.x, frame.y

@@ -173,7 +173,8 @@ class TestHist:
         code = run(["hist", "--trials", "200", "--out", str(out), "--sigma2-e", "0"])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err == "hist: cannot fit index 1: degenerate samples: no spread to fit\n"
+        assert err == (
+            "usage error: hist: cannot fit index 1: degenerate samples: no spread to fit\n")
         assert not out.exists()
 
     def test_trials_floor(self, tmp_path):
@@ -344,6 +345,71 @@ def test_non_finite_result_is_a_numerical_failure(tmp_path, capsys, argv, name):
     assert capsys.readouterr().err == (f"numerical failure: {out / name} would "
                                        "hold a non-finite number; not written\n")
     assert not out.exists()
+
+
+def test_overflowing_normalized_level_is_a_numerical_failure(tmp_path, capsys):
+    # 3e306 times ||A||^2 of the generated system overflows the error scale
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["perturb", "--sigma2-norm", "3e306", "--bins", "16",
+                    "--out", str(out)])
+    assert code == EXIT_TOLERANCE
+    assert capsys.readouterr().err == ("numerical failure: the error scale for "
+                                       "sigma2_norm = 3e+306 overflows; not written\n")
+    assert not out.exists()
+
+
+def test_failed_check_is_reported_after_writing(tmp_path, capsys):
+    c = example1().A.coeffs.copy()
+    c[0, 0, 1] += 0.05  # break the fixture
+    fx = tmp_path / "fixture.json"
+    fx.write_text(json.dumps(PolyMatrix(c, example1().A.n_min).to_json_dict()))
+    out = tmp_path / "o"
+    code = run(["ex1", "--bins", "16", "--out", str(out), "--fixture", str(fx)])
+    assert code == EXIT_TOLERANCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ex1: FAIL max deviation ")
+    assert captured.err.endswith(" > 1.0e-08\n") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ex1_closed_forms.csv", "ex1_smooth.csv", "ex1_summary.json"]
+
+
+# small sizes per subcommand, and the extreme values within the bounds of
+# each flag that has some
+_SMALL = {"ex1": ["--bins", "16"], "hist": ["--trials", "100"],
+          "perturb": ["--bins", "16"], "sysid": ["--N", "2000"]}
+_VARIANCES = ("0", "5e-324", "1e300", "1.7e308")
+_EXTREMES = {"sigma2_e": _VARIANCES, "sigma2_v": _VARIANCES,
+             "sigma2_norm": _VARIANCES, "seed": (str(2**63),),
+             "order": ("0", "1000")}
+
+
+def _extreme_runs():
+    for command, (_, dests, _) in cli._SUBCOMMANDS.items():
+        for dest in dests:
+            flag = cli._FLAGS[dest][0][0]
+            for value in _EXTREMES.get(dest, ()):
+                yield pytest.param([command, *_SMALL[command], flag, value],
+                                   id=f"{command}{flag}={value}")
+
+
+@pytest.mark.parametrize("argv", _extreme_runs())
+def test_every_exit_is_a_verdict(tmp_path, capsys, argv):
+    # a run within the flag bounds exits 0, or exits 1 or 2 with one stderr
+    # line and no output unless a check failed after writing
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_TOLERANCE)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if not line.startswith("note:")]
+    if code != EXIT_OK:
+        assert len(lines) == 1 and err.endswith("\n")
+        assert out.exists() == lines[0].startswith("ex1: FAIL")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -674,3 +740,19 @@ def test_numeric_modules_do_no_io(module):
     allowed = {"anasvd": ["anasvd.write_trajectory_csv: .write()",
                           "anasvd._write_rows: .write()"]}
     assert _io_sites(module) == allowed.get(module, [])
+
+
+def test_only_main_reports():
+    # each cmd_* returns its stdout summary or raises; main alone prints the
+    # result or failure line and picks the exit code, and _write_outputs
+    # notes each overwrite
+    printers = {site for site in _io_sites("cli") if site.endswith(": print()")}
+    assert printers == {"cli.main: print()", "cli._write_outputs: print()"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert [fn.name for fn in commands] == [fn.__name__ for fn in cli._COMMANDS.values()]
+    for fn in commands:
+        named = {ast.unparse(node) for node in ast.walk(fn)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named & {"EXIT_OK", "EXIT_USAGE", "EXIT_TOLERANCE", "_sys.stderr"}

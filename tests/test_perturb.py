@@ -1,6 +1,7 @@
 """Perturbation draws, normalized variance, Rician fits, Stewart bounds."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,6 +18,7 @@ from polysvd import (
     SeededRng,
     StewartCheck,
     bin_histogram_trials,
+    bigsys,
     binwise_svd,
     example1,
     normalized_variance,
@@ -94,6 +96,14 @@ class TestScaleToNormalized:
     def test_zero_error_rejected(self):
         with pytest.raises(ValueError):
             scale_to_normalized(PolyMatrix.zeros(2, 2), example1().A, 0.1)
+
+    @pytest.mark.parametrize("target", [3e306, 1e308, 1.7e308])
+    def test_overflowing_scale_rejected(self, target):
+        # target * ||A||^2 overflows although target is finite
+        e = random_error(2, 2, 2, 1.0, SeededRng(9))
+        message = f"the error scale for sigma2_norm = {target:g} overflows"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            scale_to_normalized(e, bigsys(SeededRng(0)).A, target)
 
 
 class TestPerturbConfig:

@@ -199,6 +199,12 @@ class TestSimulate:
         var = np.mean(np.abs(f.x) ** 2, axis=1)
         assert np.abs(var - 1.0).max() < 0.02
 
+    def test_frame_length_is_that_of_x(self):
+        f = simulate(example1(), 300, 0.01, SeededRng(3))
+        assert f.n_samples == f.x.shape[1] == f.y.shape[1] == 300
+        with pytest.raises(ValueError, match="^x holds 300 samples but y holds 299$"):
+            SignalFrame(x=f.x, y=f.y[:, :-1], sigma2_v=0.01)
+
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError, match="n_samples = 2 .* order 2"):
             simulate(example1(), 2, 0.0, SeededRng(3))
@@ -272,7 +278,7 @@ class TestStackedCorrelations:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = sx * (rng.standard_normal((n_src, n)) + 1j * rng.standard_normal((n_src, n)))
         y = sy * (rng.standard_normal((n_out, n)) + 1j * rng.standard_normal((n_out, n)))
-        frame = SignalFrame(x=x, y=y, sigma2_v=0.0, n_samples=n)
+        frame = SignalFrame(x=x, y=y, sigma2_v=0.0)
         with small_budget(data), drawn_phases(data):
             r_xx, r_yx = _stacked_correlations(frame, j_hat)
         ref_xx, ref_yx = stacked_gram(frame, j_hat)
@@ -450,8 +456,7 @@ class TestMseDecomposition:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         a = PolyMatrix(random_complex(rng, n_out, n_src, n_taps), n_min)
         frame = SignalFrame(x=random_complex(rng, n_src, n),
-                            y=random_complex(rng, n_out, n), sigma2_v=0.0,
-                            n_samples=n)
+                            y=random_complex(rng, n_out, n), sigma2_v=0.0)
         est = sysid.WienerEstimate(A_hat=a, J_hat=j_hat, regularization=0.0)
         with small_budget(data), drawn_phases(data):
             rep = mse_decomposition(frame, est, system_from(a))
