@@ -1,8 +1,22 @@
 """Dense complex SVD: the stacked kernel that every singular value in the
-package goes through."""
+package goes through, and the CPU-slot pool that runs independent tasks.
+
+The pool is one per process.  ``run_tasks`` runs a task list on the calling
+thread plus one worker thread per free slot: the usable CPUs (the process's
+affinity set, so ``taskset`` restricts them) minus one for the caller,
+minus the package workers already running.  Perturbation trials and the
+bin blocks of ``svd_stack`` run this way.  A nested call, such as the
+``svd_stack`` of a trial, gets only the slots left free and runs inline
+when there are none, so the package never runs more threads than there are
+usable CPUs.  Each task writes only its own results, so they are bitwise
+those of a serial loop, whatever the number of threads.  The ``sysid``
+GEMMs stay off the pool: the BLAS threads them itself, and package threads
+there would compete with the BLAS threads.
+"""
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 
@@ -14,15 +28,84 @@ import numpy as np
 # per worker.
 _BLOCK = 256
 
+# worker threads of run_tasks alive in the process, counted under the lock
+_pool_lock = threading.Lock()
+_pool_busy = 0
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _workers(k: int) -> int:
-    """Threads for a stack of k matrices: the usable CPUs, at most one per
+    """Blocks for a stack of k matrices: the usable CPUs, at most one per
     _BLOCK bins, at least one."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, k // _BLOCK))
+    return max(1, min(_usable_cpus(), k // _BLOCK))
+
+
+def _claim(wanted: int) -> int:
+    """Take up to ``wanted`` free slots of the pool; returns how many."""
+    global _pool_busy
+    with _pool_lock:
+        n = max(0, min(wanted, _usable_cpus() - 1 - _pool_busy))
+        _pool_busy += n
+    return n
+
+
+def _release(n: int) -> None:
+    global _pool_busy
+    with _pool_lock:
+        _pool_busy -= n
+
+
+def run_tasks(fn, items) -> list:
+    """``[fn(x) for x in items]``, with the items spread over the calling
+    thread and one worker thread per free slot of the pool.
+
+    With n workers, runner r takes items r, r + n + 1, r + 2(n + 1), ...
+    in turn; the caller is runner 0.  Each worker runs in a copy of the
+    caller's context, so an ``np.errstate`` of the caller holds there too,
+    and frees its slot when it ends.  A runner stops at its first failed
+    item.  All workers are joined before this returns, and then the
+    exception of the lowest-index failed item is raised: the one a serial
+    loop raises, whatever the number of workers.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = []
+    n = _claim(len(items) - 1)
+
+    def run(first):
+        for i in range(first, len(items), n + 1):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append((i, exc))
+                return
+
+    def worker(first):
+        try:
+            run(first)
+        finally:
+            _release(1)
+
+    threads = []
+    try:
+        for first in range(1, n + 1):
+            t = threading.Thread(target=contextvars.copy_context().run,
+                                 args=(worker, first))
+            t.start()
+            threads.append(t)
+        run(0)
+    finally:
+        _release(n - len(threads))  # the slots of workers never started
+        for t in threads:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
 def _svd_block(mats, u, s, v, lo: int, hi: int) -> None:
@@ -44,12 +127,11 @@ def svd_stack(mats: np.ndarray, vectors: bool = True):
     the singular values are computed and U and V are returned as None.
 
     The bins are cut into contiguous blocks, one per usable CPU and at
-    least _BLOCK bins each.  The calling thread decomposes the first block
-    and a new thread each of the others; all are joined before this
-    returns, and a worker's exception is re-raised here.  Each matrix is
-    decomposed on its own, so the results are bitwise those of one
-    ``np.linalg.svd`` call on the whole stack, whatever the number of
-    blocks.
+    least _BLOCK bins each, and the blocks run as tasks of ``run_tasks``:
+    the calling thread decomposes the first, and each free slot of the pool
+    another.  Each matrix is decomposed on its own, so the results are
+    bitwise those of one ``np.linalg.svd`` call on the whole stack, whatever
+    the number of blocks or threads.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim != 3:
@@ -62,24 +144,5 @@ def svd_stack(mats: np.ndarray, vectors: bool = True):
     v = np.empty((k, l, l), dtype=np.complex128) if vectors else None
     n = _workers(k)
     edges = [k * i // n for i in range(n + 1)]
-    errors = []
-
-    def work(lo, hi):
-        try:
-            _svd_block(mats, u, s, v, lo, hi)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for bounds in zip(edges[1:-1], edges[2:]):
-            t = threading.Thread(target=work, args=bounds)
-            t.start()
-            threads.append(t)
-        _svd_block(mats, u, s, v, edges[0], edges[1])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    run_tasks(lambda b: _svd_block(mats, u, s, v, *b), zip(edges, edges[1:]))
     return u, s, v

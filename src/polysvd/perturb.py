@@ -4,6 +4,7 @@ singular values."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -134,6 +135,18 @@ def _draw_error(sys: GroundTruthSystem, cfg: PerturbConfig, rng) -> PolyMatrix:
     return scale_to_normalized(err, sys.A, cfg.sigma2_norm)
 
 
+def _trial(sys: GroundTruthSystem, cfg: PerturbConfig, t: int):
+    """Trial t's result, and its majorized trajectories if it is the last."""
+    rng = SeededRng(cfg.seed, stream=t).generator()
+    err = _draw_error(sys, cfg, rng)
+    bins = anasvd.binwise_svd(sys.A + err, cfg.n_bins, vectors=False)
+    traj = anasvd.majorized_trajectories(bins)
+    report = anasvd.diagnostics(traj)
+    actual = 0.0 if sys.A.frob_energy() == 0 else normalized_variance(err, sys.A)
+    result = TrialResult(trial=t, report=report, sigma2_norm_actual=actual)
+    return result, (traj if t == cfg.trials - 1 else None)
+
+
 def perturb_and_analyze(
     sys: GroundTruthSystem, cfg: PerturbConfig
 ) -> Tuple[List[TrialResult], anasvd.SvTrajectories]:
@@ -141,20 +154,13 @@ def perturb_and_analyze(
 
     Returns all trial results plus the majorized trajectories of the last
     trial.  Trial t draws from stream t of the configured seed, so results
-    do not depend on execution order.
+    do not depend on execution order: the trials run concurrently as tasks
+    of ``densela.run_tasks``, and the results are bitwise those of running
+    them one after another.
     """
-    results = []
-    traj = None
-    for t in range(cfg.trials):
-        rng = SeededRng(cfg.seed, stream=t).generator()
-        err = _draw_error(sys, cfg, rng)
-        a_hat = sys.A + err
-        bins = anasvd.binwise_svd(a_hat, cfg.n_bins, vectors=False)
-        traj = anasvd.majorized_trajectories(bins)
-        report = anasvd.diagnostics(traj)
-        actual = 0.0 if sys.A.frob_energy() == 0 else normalized_variance(err, sys.A)
-        results.append(TrialResult(trial=t, report=report, sigma2_norm_actual=actual))
-    return results, traj
+    outcomes = densela.run_tasks(functools.partial(_trial, sys, cfg),
+                                 range(cfg.trials))
+    return [result for result, _ in outcomes], outcomes[-1][1]
 
 
 def bin_histogram_trials(
@@ -221,6 +227,9 @@ def rician_fit(samples) -> RicianFit:
     at or above the Rayleigh limit (4 - pi)/pi give theta = 0, the
     degenerate nu = 0 fit, with the variance mismatch reported in the
     residual.  The scale follows from the mean at theta.
+
+    NaN, infinite or negative samples raise ValueError; finite samples
+    whose mean or variance overflows raise FloatingPointError.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 100:
@@ -233,7 +242,7 @@ def rician_fit(samples) -> RicianFit:
         m1 = float(x.mean())
         var = float(x.var())
     if not (np.isfinite(m1) and np.isfinite(var)):
-        raise ValueError("sample mean and variance must be finite")
+        raise FloatingPointError("sample mean and variance must be finite")
     if var <= 0.0 or m1 <= 0.0:
         raise ValueError("degenerate samples: no spread to fit")
     rho = var / (m1 * m1)

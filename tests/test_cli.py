@@ -330,13 +330,16 @@ class TestSysid:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, name", [
+@pytest.mark.parametrize("argv, name, cpus", [
     (["perturb", "--sigma2-e", "1e308", "--bins", "16", "--trials", "1"],
-     "perturb_diag_s2e_1e+308.json"),
-    (["sysid", "--sigma2-v", "1e308", "--N", "2000"], "sysid_report.json"),
-], ids=["perturb", "sysid"])
-def test_non_finite_result_is_a_numerical_failure(tmp_path, capsys, argv, name):
-    # an infinite sigma2_norm_actual, or a NaN MSE, has no JSON form
+     "perturb_diag_s2e_1e+308.json", 2),
+    (["sysid", "--sigma2-v", "1e308", "--N", "2000"], "sysid_report.json", 2),
+    (["perturb", "--sigma2-e", "1e308", "--bins", "16", "--trials", "3"],
+     "perturb_diag_s2e_1e+308.json", 2),
+], ids=["perturb", "sysid", "perturb-threads"], indirect=["cpus"])
+def test_non_finite_result_is_a_numerical_failure(tmp_path, capsys, argv, name, cpus):
+    # an infinite sigma2_norm_actual, or a NaN MSE, has no JSON form; trials
+    # on worker threads keep main's np.errstate, so no warning is raised
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -357,6 +360,20 @@ def test_overflowing_normalized_level_is_a_numerical_failure(tmp_path, capsys):
     assert code == EXIT_TOLERANCE
     assert capsys.readouterr().err == ("numerical failure: the error scale for "
                                        "sigma2_norm = 3e+306 overflows; not written\n")
+    assert not out.exists()
+
+
+def test_overflowing_hist_draw_is_a_numerical_failure(tmp_path, capsys):
+    # finite samples whose mean overflows
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["hist", "--trials", "100", "--sigma2-e", "1.7e308",
+                    "--out", str(out)])
+    assert code == EXIT_TOLERANCE
+    assert capsys.readouterr().err == (
+        "numerical failure: hist: cannot fit index 1: sample mean and variance "
+        "must be finite; not written\n")
     assert not out.exists()
 
 

@@ -1,7 +1,6 @@
 """Dense SVD kernel invariants; svd_stack as the package's one SVD call."""
 
 import ast
-import os
 import sys
 import threading
 from pathlib import Path
@@ -117,15 +116,6 @@ def test_svd_stack_is_the_only_svd_call():
 
 
 @pytest.fixture
-def cpus(request, monkeypatch):
-    """Make ``request.param`` CPUs usable, through either lookup."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: request.param)
-    return request.param
-
-
-@pytest.fixture
 def svd_calls(monkeypatch):
     """Record (thread, bins) of every np.linalg.svd call.  The Thread
     object, not its ident: a finished worker's ident can be reused by the
@@ -211,4 +201,44 @@ class TestSvdStackBlocks:
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(np.linalg.LinAlgError, match=f"{failing} block"):
             svd_stack(np.ones((1024, 2, 2)), vectors=vectors)
+        assert threading.active_count() == baseline
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("cpus", [3], indirect=True)
+    def test_round_robin_results_in_item_order(self, cpus):
+        # 7 items on the caller and 2 workers: runner r takes r, r + 3, ...
+        runners = {}
+
+        def task(x):
+            runners.setdefault(threading.current_thread(), []).append(x)
+            return x * x
+
+        assert densela.run_tasks(task, range(7)) == [x * x for x in range(7)]
+        assert sorted(runners.values()) == [[0, 3, 6], [1, 4], [2, 5]]
+        assert runners[threading.current_thread()] == [0, 3, 6]
+        assert densela._pool_busy == 0
+
+    @pytest.mark.parametrize("cpus", [16], indirect=True)
+    def test_nested_pool_stress(self, cpus):
+        # 8 outer tasks of 8 inner ones each, with a thread switch every
+        # microsecond: a lost update of the slot count would show as more
+        # than 15 workers at once or a count left over
+        baseline = threading.active_count()
+        peak = []
+
+        def inner(x):
+            peak.append(threading.active_count() - baseline)
+            return x + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = densela.run_tasks(
+                lambda i: densela.run_tasks(inner, range(8 * i, 8 * i + 8)), range(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [list(range(8 * i + 1, 8 * i + 9)) for i in range(8)]
+        assert max(peak) <= cpus - 1
+        assert densela._pool_busy == 0
         assert threading.active_count() == baseline

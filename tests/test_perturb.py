@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,9 @@ from polysvd import (
     bin_histogram_trials,
     bigsys,
     binwise_svd,
+    diagnostics,
     example1,
+    majorized_trajectories,
     normalized_variance,
     perturb_and_analyze,
     random_error,
@@ -28,7 +31,7 @@ from polysvd import (
     scale_to_normalized,
     stewart_bounds,
 )
-from polysvd import perturb
+from polysvd import densela, perturb
 from polysvd.cli import main
 from polysvd.sysgen import GroundTruthSystem, complex_normal
 
@@ -165,6 +168,77 @@ class TestPerturbAndAnalyze:
         assert results[0].report.min_smallest != results[1].report.min_smallest
 
 
+def _serial_trials(sys, cfg):
+    """The trials of ``perturb_and_analyze`` one after another: results and
+    the last trial's trajectories."""
+    results = []
+    for t in range(cfg.trials):
+        rng = SeededRng(cfg.seed, stream=t).generator()
+        err = scale_to_normalized(random_error(sys.rows, sys.cols, sys.A.order, 1.0, rng),
+                                  sys.A, cfg.sigma2_norm)
+        traj = majorized_trajectories(binwise_svd(sys.A + err, cfg.n_bins, vectors=False))
+        results.append(perturb.TrialResult(
+            trial=t, report=diagnostics(traj),
+            sigma2_norm_actual=normalized_variance(err, sys.A)))
+    return results, traj
+
+
+class TestTrialParallelism:
+    # 1024 bins: an svd_stack that finds free slots cuts up to 4 blocks
+    SYS = bigsys(SeededRng(5))
+
+    def config(self, trials):
+        return PerturbConfig(trials=trials, n_bins=1024, seed=7, sigma2_norm=1e-2)
+
+    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
+    def test_equal_to_serial_trials(self, cpus, trials):
+        cfg = self.config(trials)
+        results, traj = perturb_and_analyze(self.SYS, cfg)
+        want_results, want_traj = _serial_trials(self.SYS, cfg)
+        assert results == want_results
+        assert np.array_equal(traj.values, want_traj.values)
+        assert np.array_equal(traj.omegas, want_traj.omegas)
+
+    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("failing, first", [
+        ({4}, 4), ({1, 3}, 1), ({2, 3}, 2), ({0, 1, 2, 3, 4}, 0)])
+    def test_lowest_failed_trial_reraised_after_join(self, cpus, monkeypatch,
+                                                     failing, first):
+        baseline = threading.active_count()
+        original = perturb._trial
+
+        def trial(sys, cfg, t):
+            if t in failing:
+                raise RuntimeError(f"trial {t} failed")
+            return original(sys, cfg, t)
+
+        monkeypatch.setattr(perturb, "_trial", trial)
+        with pytest.raises(RuntimeError, match=f"^trial {first} failed$"):
+            perturb_and_analyze(self.SYS, self.config(5))
+        assert threading.active_count() == baseline
+        assert densela._pool_busy == 0
+
+    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
+    def test_threads_never_exceed_cpus(self, cpus, monkeypatch, trials):
+        # recorded by every LAPACK call of the trials' svd_stack calls
+        baseline = threading.active_count()
+        live, threads = [], set()
+        original = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            live.append(threading.active_count())
+            threads.add(threading.current_thread())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        perturb_and_analyze(self.SYS, self.config(trials))
+        assert max(live) - baseline + 1 <= cpus
+        assert (len(threads) > 1) == (cpus > 1)
+        assert densela._pool_busy == 0
+
+
 class TestBinHistogramTrials:
     def test_zero_noise_exact(self):
         sys = example1()
@@ -270,7 +344,8 @@ class TestRicianFit:
         # finite samples whose sum (scale 1) or squared spread (scale 2^-60)
         # overflows: the fit used to return inf or a NaN residual
         x = scale * np.repeat([1e308, 1.7e308], 100)
-        with pytest.raises(ValueError, match="^sample mean and variance must be finite$"):
+        with pytest.raises(FloatingPointError,
+                           match="^sample mean and variance must be finite$"):
             rician_fit(x)
 
     @settings(max_examples=60, deadline=None)
