@@ -161,7 +161,7 @@ def _greedy_match(score: np.ndarray):
         best = sc[m, i]
         sc[m, i] = -np.inf
         alt = max(sc[m, :].max(), sc[:, i].max())
-        if np.isfinite(alt) and best - alt < AMBIGUITY_MARGIN:
+        if best - alt < AMBIGUITY_MARGIN:
             ambiguous = True
         perm[m] = i
         sc[m, :] = -np.inf
@@ -367,8 +367,7 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     k = np.arange(k_bins)[:, None]
     sigma = bins.sigma.reshape(-1)[perms + k * r]
     smax = bins.sigma.max(axis=1, keepdims=True)
-    refresh = ~ambiguous[:, None] & (sigma > _SIGN_REF_REL_FLOOR
-                                     * np.where(smax > 0, smax, 1.0))
+    refresh = ~ambiguous[:, None] & (sigma > _SIGN_REF_REL_FLOOR * smax)
     last = np.maximum.accumulate(np.where(refresh, k, -1), axis=0)
     signs = _track_signs(bins.V, perms, phases, refresh, last)
     values = signs.T * sigma.T
@@ -462,7 +461,8 @@ def diagnostics(traj: SvTrajectories) -> DiagnosticsReport:
 def track_deviation(values: np.ndarray, reference: np.ndarray) -> float:
     """Max deviation of tracks from reference tracks, both (R, K), minimized
     over track permutation and per-track global sign.  Raises ValueError
-    unless both have the same (R, K) shape.
+    unless both have the same (R, K) shape, and for R > 10, whose R!
+    permutations are too many to enumerate.
 
     cost[p, m] is the smaller sup deviation of track p or of its negation
     from reference m; the result is the minimum over permutations of the
@@ -472,9 +472,11 @@ def track_deviation(values: np.ndarray, reference: np.ndarray) -> float:
     if values.ndim != 2 or values.shape != reference.shape:
         raise ValueError(f"tracks of shape {values.shape} do not match "
                          f"reference tracks of shape {reference.shape}")
+    r = values.shape[0]
+    if r > 10:
+        raise ValueError(f"{r} tracks are too many to enumerate; at most 10")
     v, f = values[:, None, :], reference[None, :, :]
     cost = np.minimum(np.abs(v - f).max(axis=2), np.abs(v + f).max(axis=2))
-    r = cost.shape[0]
     perms = np.array(list(itertools.permutations(range(r))))
     return float(cost[perms, np.arange(r)].max(axis=1).min())
 

@@ -39,12 +39,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(k: int) -> int:
-    """Blocks for a stack of k matrices: the usable CPUs, at most one per
-    _BLOCK bins, at least one."""
-    return max(1, min(_usable_cpus(), k // _BLOCK))
-
-
 def _claim(wanted: int) -> int:
     """Take up to ``wanted`` free slots of the pool; returns how many."""
     global _pool_busy
@@ -142,7 +136,7 @@ def svd_stack(mats: np.ndarray, vectors: bool = True):
     s = np.empty((k, min(m, l)))
     u = np.empty((k, m, m), dtype=np.complex128) if vectors else None
     v = np.empty((k, l, l), dtype=np.complex128) if vectors else None
-    n = _workers(k)
+    n = max(1, min(_usable_cpus(), k // _BLOCK))
     edges = [k * i // n for i in range(n + 1)]
     run_tasks(lambda b: _svd_block(mats, u, s, v, *b), zip(edges, edges[1:]))
     return u, s, v

@@ -111,15 +111,14 @@ def normalized_variance(err: PolyMatrix, sys_mat: PolyMatrix) -> float:
 
 def scale_to_normalized(err: PolyMatrix, sys_mat: PolyMatrix, target: float) -> PolyMatrix:
     """Rescale ``err`` so that its normalized variance against ``sys_mat``
-    equals ``target`` exactly.  Raises FloatingPointError when the scale
-    overflows."""
+    equals ``target`` exactly.  Target 0 gives the zero error, still with
+    ``err``'s taps.  Raises FloatingPointError when the scale is not finite:
+    it overflows, or the energy of ``sys_mat`` does."""
     if target < 0:
         raise ValueError("target must be >= 0")
     e_energy = err.frob_energy()
     if e_energy <= 0:
         raise ValueError("error matrix has zero energy")
-    if target == 0.0:
-        return PolyMatrix.zeros(err.rows, err.cols)
     c = np.sqrt(target * sys_mat.frob_energy() / e_energy)
     if not np.isfinite(c):
         raise FloatingPointError(f"the error scale for sigma2_norm = {target:g} "
@@ -292,10 +291,7 @@ def stewart_bounds(a_bin, e_bin, m: int) -> StewartCheck:
     e_bin = np.asarray(e_bin, dtype=np.complex128)
     u, s, _ = densela.svd_stack(a_bin[None])
     u, s = u[0], s[0]
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
     ur = u[:, :rank]
     p = ur @ ur.conj().T
     p_perp = np.eye(a_bin.shape[0], dtype=np.complex128) - p
@@ -307,7 +303,7 @@ def stewart_bounds(a_bin, e_bin, m: int) -> StewartCheck:
     sigma, varsigma = (float(v) for v in svals[:2, m])
     smax, n_pe, n_ppe = (float(v) for v in svals[[0, 2, 3], 0])
     upper = float(np.sqrt((sigma + n_pe) ** 2 + n_ppe**2))
-    if smax == 0.0 or sigma <= RANK_TOL * smax:
+    if sigma <= RANK_TOL * smax:
         lower = float(svals[3, -1])
     else:
         lower = 0.0

@@ -252,7 +252,7 @@ class TestGreedyMatch:
                     score[(m + 1) % r, p[m]] = rival
                 yield score
 
-    @pytest.mark.parametrize("r", range(2, 7))
+    @pytest.mark.parametrize("r", range(1, 7))
     def test_matches_elimination(self, r):
         for score in self.scores(r):
             perm, ambiguous = _greedy_match(score)
@@ -584,6 +584,15 @@ class TestTrackDeviation:
         got = track_deviation(values, reference)
         assert type(got) is float
         assert got == permutation_loop_deviation(values, reference)
+
+    def test_eleven_tracks_rejected_before_enumerating(self, monkeypatch):
+        def enumerate_all(*args):
+            raise AssertionError("the 11! track orders were enumerated")
+
+        monkeypatch.setattr(itertools, "permutations", enumerate_all)
+        tracks = np.zeros((11, 4))
+        with pytest.raises(ValueError, match="^11 tracks "):
+            track_deviation(tracks, tracks)
 
     @pytest.mark.parametrize("values_shape, reference_shape", [
         ((2, 8), (3, 8)),   # a reference track left unmatched

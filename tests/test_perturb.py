@@ -90,6 +90,11 @@ class TestScaleToNormalized:
         e = random_error(2, 2, 2, 1e-3, SeededRng(8))
         assert not np.any(scale_to_normalized(e, a, 0.0).coeffs)
 
+    def test_zero_target_keeps_taps(self):
+        e = random_error(2, 2, 3, 1e-3, SeededRng(8))
+        zero = scale_to_normalized(e, example1().A, 0.0)
+        assert (zero.n_min, zero.n_taps) == (e.n_min, e.n_taps)
+
     def test_hits_target(self):
         a = example1().A
         e = random_error(2, 2, 2, 1.0, SeededRng(9))
@@ -107,6 +112,14 @@ class TestScaleToNormalized:
         message = f"the error scale for sigma2_norm = {target:g} overflows"
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
             scale_to_normalized(e, bigsys(SeededRng(0)).A, target)
+
+    @pytest.mark.parametrize("target", [0.0, 0.3])
+    def test_overflowing_system_energy_rejected(self, target):
+        # ||A||^2 overflows, so the scale is nan at target 0 and inf above it
+        a = PolyMatrix(np.full((2, 2, 2), 1e200 + 0j), 0)
+        e = random_error(2, 2, 2, 1.0, SeededRng(9))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            scale_to_normalized(e, a, target)
 
 
 class TestPerturbConfig:
@@ -142,6 +155,18 @@ class TestPerturbAndAnalyze:
         for r in results:
             assert r.report.min_gap == pytest.approx(truth.min_gap, abs=1e-14)
             assert r.report.min_smallest == pytest.approx(truth.min_smallest, abs=1e-14)
+            assert r.sigma2_norm_actual == 0.0
+
+    def test_zero_level_is_truth_bitwise(self):
+        sys = bigsys(SeededRng(0))
+        cfg = PerturbConfig(trials=2, n_bins=256, seed=3, sigma2_norm=0.0)
+        results, traj = perturb_and_analyze(sys, cfg)
+        truth = majorized_trajectories(binwise_svd(sys.A, 256, vectors=False))
+        assert np.array_equal(traj.omegas, truth.omegas)
+        assert np.array_equal(traj.values, truth.values)
+        report = diagnostics(truth)
+        for r in results:
+            assert r.report == report
             assert r.sigma2_norm_actual == 0.0
 
     def test_example1_small_noise_positive_minima(self):
