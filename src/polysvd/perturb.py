@@ -17,9 +17,9 @@ from .sysgen import GroundTruthSystem, SeededRng, complex_normal
 
 _SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 _EPS = 2.0**-53
-# above this argument the Hankel expansion's smallest term (~e^{-2x}) lies
-# below rounding, so it replaces the power series
-_BESSEL_SERIES_MAX = 25.0
+# above this x the asymptotic series' smallest term (~e^{-x}) lies below
+# rounding, so it replaces the Kummer series
+_KUMMER_MAX = 50.0
 
 # Relative threshold separating genuine rank deficiency from
 # double-precision noise in order-30 convolutions.
@@ -181,39 +181,31 @@ def bin_histogram_trials(
     return svals.T.copy()
 
 
-def _ive(nu: int, x: float) -> float:
-    # exp(-x) I_nu(x) for nu in {0, 1} and x >= 0
-    if x <= _BESSEL_SERIES_MAX:
-        # power series sum_k (x^2/4)^k (x/2)^nu / (k! (k+nu)!): every term
-        # is positive, so nothing cancels
-        q = 0.25 * x * x
-        term = total = 1.0 if nu == 0 else 0.5 * x
+def _rician_moments(theta: float) -> Tuple[float, float]:
+    # (E[X]/s, Var[X]/s^2) for theta = nu/s from E[X]/s = sqrt(pi/2)
+    # 1F1(-1/2; 1; -x), x = theta^2/2 (scipy.special.hyp1f1 in the tests),
+    # one series of positive terms per regime.  E[X]/s holds to 3e-15
+    # relative, Var/s^2 to 1e-15 above _KUMMER_MAX and to 5e-13 below it,
+    # where 2 + theta^2 - h^2 cancels up to a factor of 100
+    x = 0.5 * theta * theta
+    if x <= _KUMMER_MAX:  # Kummer's transform e^{-x} 1F1(3/2; 1; x)
+        term = total = 1.0
         k = 0
         while term > _EPS * total:
             k += 1
-            term *= q / (k * (k + nu))
+            term *= (k + 0.5) * x / (k * k)
             total += term
-        return total * math.exp(-x)
-    # Hankel expansion e^x / sqrt(2 pi x) sum_k t_k, cut at its smallest term
-    mu = 4.0 * nu * nu
-    term = total = 1.0
-    k = 0
-    while abs(term) > _EPS * abs(total):
+        h = _SQRT_HALF_PI * math.exp(-x) * total
+        return h, 2.0 + theta * theta - h * h
+    # asymptotically h = theta (1 + S), S = sum_{k>=1} t_k, t_0 = 1 and
+    # t_k = t_{k-1} (k - 3/2)^2 / (k x), so Var/s^2 = 2 - theta^2 S (2 + S)
+    term = total = 0.25 / x
+    k = 1
+    while term > _EPS * total:
         k += 1
-        nxt = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
+        term *= (k - 1.5) ** 2 / (k * x)
         total += term
-    return total / math.sqrt(2.0 * math.pi * x)
-
-
-def _rician_moments(theta: float) -> Tuple[float, float]:
-    # (E[X]/s, Var[X]/s^2) for theta = nu/s, via exponentially scaled
-    # Bessel functions
-    a = 0.25 * theta * theta
-    h = _SQRT_HALF_PI * ((1.0 + 2.0 * a) * _ive(0, a) + 2.0 * a * _ive(1, a))
-    return h, 2.0 + theta * theta - h * h
+    return theta * (1.0 + total), 2.0 - theta * theta * total * (2.0 + total)
 
 
 def rician_fit(samples) -> RicianFit:
@@ -226,6 +218,11 @@ def rician_fit(samples) -> RicianFit:
     at or above the Rayleigh limit (4 - pi)/pi give theta = 0, the
     degenerate nu = 0 fit, with the variance mismatch reported in the
     residual.  The scale follows from the mean at theta.
+
+    The moments are exact wherever theta^2 is finite (theta < 1e154).  hi
+    stops at 1e30, past the theta of any n < 2^60 float samples that are
+    not all equal (theta < 2^53 sqrt(n) < 1e25); a larger one, a ratio
+    that the overflowing squared mean sent to 0, raises ValueError.
 
     NaN, infinite or negative samples raise ValueError; finite samples
     whose mean or variance overflows raise FloatingPointError.
@@ -255,7 +252,7 @@ def rician_fit(samples) -> RicianFit:
         hi = 1.0
         while gap(hi) > 0.0:
             hi *= 2.0
-            if hi > 1e12:
+            if hi > 1e30:
                 raise ValueError("sample ratio out of the Rician range")
         lo = 0.0
         while hi - lo > 1e-13 + 8.9e-16 * hi:

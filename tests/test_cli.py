@@ -96,6 +96,15 @@ class TestEx1:
         assert err == f"usage error: fixture {fx}: non-finite input\n"
         assert not out.exists()
 
+    def test_fixture_of_another_shape_refused(self, tmp_path, capsys):
+        fx = tmp_path / "fixture.json"
+        fx.write_text(json.dumps(PolyMatrix(np.eye(3)[:, :, None]).to_json_dict()))
+        out = tmp_path / "o"
+        code = run(["ex1", "--bins", "16", "--out", str(out), "--fixture", str(fx)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: fixture must be 2x2\n"
+        assert not out.exists()
+
     def test_summary_counts_ambiguous_bins(self, tmp_path):
         out = tmp_path / "o"
         assert run(["ex1", "--bins", "256", "--out", str(out)]) == EXIT_OK
@@ -179,6 +188,20 @@ class TestHist:
 
     def test_trials_floor(self, tmp_path):
         assert run(["hist", "--trials", "10", "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("sigma2_e, rel", [(1e-16, 1e-4), (1e-20, 1e-4),
+                                               (1e-30, 1e-2)])
+    def test_scale_follows_small_variances(self, tmp_path, sigma2_e, rel):
+        # index 1 has nu = 0.5, so its fitted scale goes as sqrt(sigma2_e)
+        # down to theta ~ 4e14, where the samples differ in a few units in
+        # the last place
+        def index1_scale(*args):
+            out = tmp_path / str(len(args))
+            assert run(["hist", "--out", str(out), *args]) == EXIT_OK
+            return json.loads((out / "hist_fits.json").read_text())["fits"][0]["s"]
+
+        want = index1_scale() * np.sqrt(sigma2_e / 1e-4)
+        assert index1_scale("--sigma2-e", str(sigma2_e)) == pytest.approx(want, rel=rel)
 
 
 class TestPerturb:

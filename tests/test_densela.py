@@ -1,6 +1,7 @@
 """Dense SVD kernel invariants; svd_stack as the package's one SVD call."""
 
 import ast
+import os
 import sys
 import threading
 from pathlib import Path
@@ -202,6 +203,19 @@ class TestSvdStackBlocks:
         with pytest.raises(np.linalg.LinAlgError, match=f"{failing} block"):
             svd_stack(np.ones((1024, 2, 2)), vectors=vectors)
         assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("count, blocks", [(3, 3), (None, 1)])
+def test_cpu_count_fallback(monkeypatch, svd_calls, count, blocks):
+    # without sched_getaffinity (macOS, Windows) the blocks follow
+    # os.cpu_count(), and one CPU when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    mats = RNG.standard_normal((4097, 3, 2)) + 1j * RNG.standard_normal((4097, 3, 2))
+    got = svd_stack(mats)
+    assert len({thread for thread, _ in svd_calls}) == blocks
+    for g, want in zip(got, one_call(mats)):
+        assert np.array_equal(g, want)
 
 
 class TestRunTasks:

@@ -337,6 +337,25 @@ class TestRicianFit:
         assert fit.s == pytest.approx(0.5, rel=0.02)
         assert fit.residual < 1e-6
 
+    @pytest.mark.parametrize("s", [1e-2, 1e-6, 1e-8, 1e-10])
+    def test_small_scale_recovered(self, s):
+        # theta = 50 .. 5e9: a variance formed as 2 + theta^2 - h^2 gives
+        # 0.71 s at 1e-8 and 37 s at 1e-10
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+        fit = rician_fit(np.abs(0.5 + s * z))
+        assert fit.s == pytest.approx(s, rel=0.03)
+        assert fit.nu == pytest.approx(0.5, abs=0.1 * s)
+
+    def test_overflowing_squared_mean_out_of_range(self):
+        # relative spread 2^-50: theta ~ 1e15 fits, until the squared mean
+        # overflows and the ratio reads 0
+        x = 1 + 2.0**-50 * np.random.default_rng(9).standard_normal(200)
+        fit = rician_fit(1.1e154 * x)
+        assert fit.nu / fit.s > 1e14
+        with pytest.raises(ValueError, match="^sample ratio out of the Rician range$"):
+            rician_fit(1.4e154 * x)
+
     def test_constant_samples_rejected(self):
         with pytest.raises(ValueError):
             rician_fit(np.full(500, 2.0))
@@ -626,17 +645,25 @@ def _old_rician_fit(x):
 
 
 class TestScipyOracle:
-    """The numpy-only Bessel functions and Rician fit against scipy."""
+    """The numpy-only Rician moments and fit against scipy."""
 
-    def test_bessel_matches_scipy(self):
+    # both regimes of the kernel, densely around their switch at theta = 10
+    THETA = np.concatenate([np.arange(2001) * 0.01, np.linspace(9.9, 10.1, 401),
+                            np.geomspace(1e-300, 1e12, 2000)])
+
+    def test_mean_matches_hyp1f1(self):
+        # E[X]/s = sqrt(pi/2) 1F1(-1/2; 1; -theta^2/2)
         special = pytest.importorskip("scipy.special")
-        x = np.concatenate([np.arange(6001) * 0.01, np.geomspace(1e-300, 1e24, 2000)])
-        for order, ref in ((0, special.i0e), (1, special.i1e)):
-            got = np.array([perturb._ive(order, v) for v in x])
-            want = ref(x)
-            assert np.all(np.abs(got - want) <= 4e-15 * want)
-        assert perturb._ive(0, 0.0) == 1.0
-        assert perturb._ive(1, 0.0) == 0.0
+        got = np.array([perturb._rician_moments(t)[0] for t in self.THETA])
+        want = np.sqrt(np.pi / 2.0) * special.hyp1f1(-0.5, 1.0, -0.5 * self.THETA**2)
+        assert np.all(np.abs(got - want) <= 5e-15 * want)
+
+    def test_variance_does_not_cancel(self):
+        # Var/s^2 = 1 - 1/(2 theta^2) + O(theta^-4), where forming
+        # 2 + theta^2 - h^2 from a rounded h is off by up to 511x
+        theta = np.geomspace(1e4, 1e150, 3001)
+        got = np.array([perturb._rician_moments(t)[1] for t in theta])
+        assert np.all(np.abs(got - (1.0 - 0.5 / theta**2)) <= 4e-16)
 
     @pytest.mark.parametrize("nu, s, n, seed", [
         (0.6, 1.0, 20000, 21),   # near the Rayleigh limit
