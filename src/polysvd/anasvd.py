@@ -80,10 +80,8 @@ class SvTrajectories:
     track's left vector at its reference bin, and signs holds the applied
     sign per track and bin.  aligned_vectors(bins, traj) rebuilds from
     these the phase-aligned, signed singular vectors of each track.
-    wrap_permutation/wrap_signs report how the tracks would continue from
-    the last bin back into bin 0; wrap consistency is reported, never
-    enforced.  ambiguous_bins lists, in ascending order, the bins whose
-    association was ambiguous (empty when there are none).
+    ambiguous_bins lists, in ascending order, the bins whose association
+    was ambiguous (empty when there are none).
     """
 
     mode: str  # "majorized" | "smooth"
@@ -92,8 +90,6 @@ class SvTrajectories:
     permutations: Optional[np.ndarray] = None  # (K, R) int
     phases: Optional[np.ndarray] = None        # (K, R) complex, |.| = 1
     signs: Optional[np.ndarray] = None         # (R, K) in {-1, +1}
-    wrap_permutation: Optional[np.ndarray] = None
-    wrap_signs: Optional[np.ndarray] = None
     ambiguous_bins: Optional[np.ndarray] = None  # (n,) int
 
     @property
@@ -175,11 +171,6 @@ def _unit(c: np.ndarray) -> np.ndarray:
     return np.divide(c.conj(), mag, out=np.ones_like(c), where=mag > 0.0)
 
 
-def _flipped(v_ref: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per column: Re <v_ref, v> < 0."""
-    return np.einsum("ij,ij->j", v_ref.conj(), v).real < 0.0
-
-
 def _adjacent_matches(u: np.ndarray):
     """The clear-match test applied to every pair of adjacent bins.
 
@@ -238,12 +229,12 @@ def _aligned_rows(x: np.ndarray, perms: np.ndarray, phases: np.ndarray,
 
 
 def _track_signs(v: np.ndarray, perms: np.ndarray, phases: np.ndarray,
-                 refresh: np.ndarray, last: np.ndarray) -> np.ndarray:
+                 refresh: np.ndarray) -> np.ndarray:
     """Signs (K, R) of the phase-aligned right vectors of the tracks: at bin
     k, track m takes column perms[k, m] of v[k] (K, L, L) times phases[k, m].
 
-    refresh marks the bins where a track refreshes its reference and last
-    holds the last refresh bin <= k (-1 for none).  A track's sign reference
+    refresh marks the bins where a track refreshes its reference; last[k]
+    is the last refresh bin <= k (-1 for none).  A track's sign reference
     at bin k is its last refresh bin r < k; the sign is s_r times the sign
     of Re <v[r], v[k]>, and +1 when the track has no reference yet or that
     inner product is exactly zero (a reset).  The refresh bins chain to
@@ -253,6 +244,8 @@ def _track_signs(v: np.ndarray, perms: np.ndarray, phases: np.ndarray,
     """
     k_bins, r = perms.shape
     tracks = np.arange(r)
+    last = np.maximum.accumulate(
+        np.where(refresh, np.arange(k_bins)[:, None], -1), axis=0)
     x = np.zeros((k_bins, r))
     for b0 in range(1, k_bins, _BLOCK):
         b1 = min(b0 + _BLOCK, k_bins)
@@ -276,13 +269,13 @@ def _track_signs(v: np.ndarray, perms: np.ndarray, phases: np.ndarray,
 def _associate(u: np.ndarray, r: int):
     """Track permutations and unit phases from the left vectors u (K, M, M).
 
-    Returns (perms, phases, ambiguous, ref): per bin the column each track
-    takes and the phase that aligns it with the track's u_prev, the mask of
-    ambiguous bins and the last non-ambiguous bin.  a[k] maps the columns of
-    bin k's reference, the last non-ambiguous bin before k, to bin k's, and
-    w[k] holds the unit phases of the picks.  An ambiguous bin maps by the
-    identity; its phase step multiplies its own phase only, outside the
-    cumulative product, so that the next bin composes with the reference.
+    Returns (perms, phases, ambiguous): per bin the column each track takes
+    and the phase that aligns it with the track's u_prev, and the mask of
+    ambiguous bins.  a[k] maps the columns of bin k's reference, the last
+    non-ambiguous bin before k, to bin k's, and w[k] holds the unit phases
+    of the picks.  An ambiguous bin maps by the identity; its phase step
+    multiplies its own phase only, outside the cumulative product, so that
+    the next bin composes with the reference.
     """
     k_bins = u.shape[0]
     u = u[:, :, :r]
@@ -315,7 +308,7 @@ def _associate(u: np.ndarray, r: int):
     phases[ambiguous] = 1.0
     np.cumprod(phases, axis=0, out=phases)
     phases[ambiguous] *= own
-    return perms, phases, ambiguous, int(np.flatnonzero(~ambiguous)[-1])
+    return perms, phases, ambiguous
 
 
 def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
@@ -363,25 +356,13 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
                          "(binwise_svd with vectors=True)")
     k_bins = bins.n_bins
     r = bins.n_tracks
-    perms, phases, ambiguous, ref = _associate(bins.U, r)
+    perms, phases, ambiguous = _associate(bins.U, r)
     k = np.arange(k_bins)[:, None]
     sigma = bins.sigma.reshape(-1)[perms + k * r]
     smax = bins.sigma.max(axis=1, keepdims=True)
     refresh = ~ambiguous[:, None] & (sigma > _SIGN_REF_REL_FLOOR * smax)
-    last = np.maximum.accumulate(np.where(refresh, k, -1), axis=0)
-    signs = _track_signs(bins.V, perms, phases, refresh, last)
+    signs = _track_signs(bins.V, perms, phases, refresh)
     values = signs.T * sigma.T
-
-    # wrap-around step: continue from the last bin back into bin 0
-    tracks = np.arange(r)
-    u_ref = _aligned_rows(bins.U, perms, phases, ref, tracks)
-    g = u_ref.conj() @ bins.U[0][:, :r]
-    wrap_perm, _ = _greedy_match(np.abs(g))
-    v = bins.V[0][:, wrap_perm] * _unit(g[tracks, wrap_perm])
-    j = np.maximum(last[-1], 0)
-    v_ref = _aligned_rows(bins.V, perms, phases, j, tracks)
-    v_ref *= signs[j, tracks][:, None]
-    wrap_signs = np.where((last[-1] >= 0) & _flipped(v_ref.T, v), -1.0, 1.0)
 
     ambiguous_bins = np.flatnonzero(ambiguous)
     if ambiguous_bins.size:
@@ -402,8 +383,6 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
         permutations=perms,
         phases=phases,
         signs=signs.T.copy(),
-        wrap_permutation=wrap_perm,
-        wrap_signs=wrap_signs,
         ambiguous_bins=ambiguous_bins,
     )
 

@@ -17,6 +17,7 @@ Every subcommand also takes --seed [0], --out [out] and --format
 
 Every output file embeds the seed, the parsed arguments and the package
 version; a rerun rewrites it byte for byte, noting the overwrite on stderr.
+A library warning, such as an ambiguous association, is one "note:" line.
 Each subcommand returns its stdout summary or raises; main alone prints
 it or the one failure line on stderr and picks the exit code: 0 success;
 1 "usage error: ..." or 2 "numerical failure: ...; not written", before
@@ -29,6 +30,7 @@ import argparse
 import dataclasses
 import json
 import sys as _sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -372,7 +374,10 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         _validate(ns)
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            # a library warning, such as AssociationAmbiguous, is one line
+            warnings.showwarning = lambda message, *_: print(
+                f"note: {message}", file=_sys.stderr)
             summary = _COMMANDS[ns.subcommand](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)

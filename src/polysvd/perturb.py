@@ -217,7 +217,9 @@ def rician_fit(samples) -> RicianFit:
     1e-13 + 8.9e-16 hi, and theta is the bracket's midpoint.  Sample ratios
     at or above the Rayleigh limit (4 - pi)/pi give theta = 0, the
     degenerate nu = 0 fit, with the variance mismatch reported in the
-    residual.  The scale follows from the mean at theta.
+    residual.  The scale follows from the mean at theta.  The sample mean
+    is an exactly rounded sum over n, and the variance the mean squared
+    deviation from it, so a spread below one ulp of the mean is kept.
 
     The moments are exact wherever theta^2 is finite (theta < 1e154).  hi
     stops at 1e30, past the theta of any n < 2^60 float samples that are
@@ -234,9 +236,12 @@ def rician_fit(samples) -> RicianFit:
         raise ValueError("samples must be finite")
     if np.any(x < 0):
         raise ValueError("samples must be nonnegative")
+    try:
+        m1 = math.fsum(x) / x.size
+    except OverflowError:
+        m1 = math.inf
     with np.errstate(over="ignore"):
-        m1 = float(x.mean())
-        var = float(x.var())
+        var = float(((x - m1) ** 2).mean())
     if not (np.isfinite(m1) and np.isfinite(var)):
         raise FloatingPointError("sample mean and variance must be finite")
     if var <= 0.0 or m1 <= 0.0:

@@ -202,12 +202,6 @@ class TestSmooth:
         assert sm.ambiguous_bins.shape == (0,)
         assert sm.ambiguous_bins.dtype.kind == "i"
 
-    def test_wrap_reported(self):
-        sm = smooth_trajectories(binwise_svd(example1().A, 256))
-        assert sm.wrap_permutation is not None
-        assert sm.wrap_signs is not None
-        assert sm.wrap_signs.shape == (2,)
-
 
 def eliminate(score):
     """Reference greedy match: repeatedly take the global maximum."""
@@ -352,8 +346,8 @@ class TestAlignedVectors:
 def per_bin_smooth(bins):
     """Reference association: the per-bin loop the batched stages replace.
 
-    Returns (perms, signs, values, U, V, wrap_perm, wrap_signs, ambiguous
-    bins, warning messages), with the greedy match done by `eliminate`.
+    Returns (perms, signs, values, U, V, ambiguous bins, warning messages),
+    with the greedy match done by `eliminate`.
     """
     k_bins = bins.n_bins
     r = bins.n_tracks
@@ -400,10 +394,6 @@ def per_bin_smooth(bins):
             np.copyto(v_ref, v, where=refresh)
             has_ref |= refresh
     values = signs * np.take_along_axis(bins.sigma, perms, axis=1).T
-    g = u_prev.conj().T @ bins.U[0][:, :r]
-    wrap_perm, _ = eliminate(np.abs(g))
-    _, v = aligned(g, wrap_perm, bins.U[0], bins.V[0])
-    wrap_signs = np.where(has_ref & flipped(v_ref, v), -1.0, 1.0)
     messages = []
     if ambiguous_bins:
         first = ambiguous_bins[0]
@@ -411,8 +401,7 @@ def per_bin_smooth(bins):
             f"ambiguous track association at {len(ambiguous_bins)} of "
             f"{k_bins} bins (first at bin {first}, omega="
             f"{bins.omegas[first]:.6f}); kept previous track order there")
-    return (perms, signs, values, u_al, v_al, wrap_perm, wrap_signs,
-            ambiguous_bins, messages)
+    return perms, signs, values, u_al, v_al, ambiguous_bins, messages
 
 
 def equivalence_systems():
@@ -442,13 +431,10 @@ def assert_matches_per_bin_loop(b):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sm = smooth_trajectories(b)
-    (perms, signs, values, u_al, v_al, wrap_perm, wrap_signs,
-     ambiguous_bins, messages) = per_bin_smooth(b)
+    perms, signs, values, u_al, v_al, ambiguous_bins, messages = per_bin_smooth(b)
     assert np.array_equal(sm.permutations, perms)
     assert np.array_equal(sm.signs, signs)
     assert np.array_equal(sm.values, values)
-    assert np.array_equal(sm.wrap_permutation, wrap_perm)
-    assert np.array_equal(sm.wrap_signs, wrap_signs)
     assert sm.ambiguous_bins.dtype.kind == "i"
     assert sm.ambiguous_bins.tolist() == ambiguous_bins
     assert [str(w.message) for w in caught
@@ -491,8 +477,8 @@ class TestSmoothEquivalence:
 
     def test_exercises_ambiguous_and_zero_paths(self):
         # the inputs above reach the exceptional-bin loop and the refresh floor
-        amb = per_bin_smooth(binwise_svd(random_paraunitary(3, 4, SeededRng(5)),
-                                         1024))[7]
+        perms, signs, values, u_al, v_al, amb, messages = per_bin_smooth(
+            binwise_svd(random_paraunitary(3, 4, SeededRng(5)), 1024))
         assert 0 < len(amb) < 1023
         assert any(b - a > 1 for a, b in zip(amb, amb[1:]))
         ex1 = binwise_svd(example1().A, 1024)

@@ -24,6 +24,7 @@ from polysvd import (
     bin_histogram_trials,
     binwise_svd,
     example1,
+    random_paraunitary,
     smooth_trajectories,
 )
 from polysvd import cli, sysid
@@ -110,6 +111,18 @@ class TestEx1:
         assert run(["ex1", "--bins", "256", "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "ex1_summary.json").read_text())
         assert summary["n_ambiguous_bins"] == 0
+
+    def test_ambiguous_association_is_one_note(self, tmp_path, capsys):
+        # order-12 factors on an 8-bin grid: bin 7 is ambiguous
+        fx = tmp_path / "fixture.json"
+        fx.write_text(json.dumps(random_paraunitary(2, 12, SeededRng(0)).to_json_dict()))
+        code = run(["ex1", "--bins", "8", "--out", str(tmp_path / "o"),
+                    "--fixture", str(fx)])
+        assert code == EXIT_TOLERANCE
+        assert capsys.readouterr().err.splitlines() == [
+            "note: ambiguous track association at 1 of 8 bins (first at bin 7, "
+            "omega=5.497787); kept previous track order there",
+            "ex1: FAIL max deviation 2.414e+00 > 1.0e-08"]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "o"

@@ -356,6 +356,14 @@ class TestRicianFit:
         with pytest.raises(ValueError, match="^sample ratio out of the Rician range$"):
             rician_fit(1.4e154 * x)
 
+    def test_sub_ulp_spread_recovered(self):
+        # one sample of 10^6 an ulp above the rest: the spread is 2.22e-19,
+        # which a mean rounded off by an ulp would inflate to 2.22e-16
+        x = np.full(10**6, 2.0 - 2.0**-52)
+        x[0] = 2.0
+        fit = rician_fit(x)
+        assert 0.5 * 2.22e-19 <= fit.s <= 2.0 * 2.22e-19
+
     def test_constant_samples_rejected(self):
         with pytest.raises(ValueError):
             rician_fit(np.full(500, 2.0))
