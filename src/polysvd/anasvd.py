@@ -77,8 +77,9 @@ class SvTrajectories:
     values is (R, K).  In smooth mode, permutations[k] maps each track to
     the majorized bin index it took at bin k, phases[k] holds the unit
     phase that aligns each track's singular vectors at bin k with the
-    track's left vector at its reference bin, and signs holds the applied
-    sign per track and bin.  aligned_vectors(bins, traj) rebuilds from
+    track's left vector at its reference bin, and the sign bit of
+    values[m, k] is the sign applied to track m at bin k, -0.0 included
+    (np.copysign(1.0, values)).  aligned_vectors(bins, traj) rebuilds from
     these the phase-aligned, signed singular vectors of each track.
     ambiguous_bins lists, in ascending order, the bins whose association
     was ambiguous (empty when there are none).
@@ -89,7 +90,6 @@ class SvTrajectories:
     values: np.ndarray
     permutations: Optional[np.ndarray] = None  # (K, R) int
     phases: Optional[np.ndarray] = None        # (K, R) complex, |.| = 1
-    signs: Optional[np.ndarray] = None         # (R, K) in {-1, +1}
     ambiguous_bins: Optional[np.ndarray] = None  # (n,) int
 
     @property
@@ -234,13 +234,13 @@ def _track_signs(v: np.ndarray, perms: np.ndarray, phases: np.ndarray,
     k, track m takes column perms[k, m] of v[k] (K, L, L) times phases[k, m].
 
     refresh marks the bins where a track refreshes its reference; last[k]
-    is the last refresh bin <= k (-1 for none).  A track's sign reference
-    at bin k is its last refresh bin r < k; the sign is s_r times the sign
-    of Re <v[r], v[k]>, and +1 when the track has no reference yet or that
-    inner product is exactly zero (a reset).  The refresh bins chain to
-    each other, so s_r is the parity of the negative steps along the chain
-    since its last reset: a cumulative count, exact.  The aligned vectors
-    are gathered one block of _BLOCK bins at a time.
+    is the last refresh bin <= k (-1 for none).  A track's sign is +1 until
+    it has a reference.  After that its reference at bin k is its last
+    refresh bin r < k, and the sign is s_r, negated where Re <v[r], v[k]>
+    < 0; an exact 0 keeps s_r.  The refresh bins chain to each other, so
+    s_r is the parity of the negative steps along the chain: a cumulative
+    count, exact.  The aligned vectors are gathered one block of _BLOCK
+    bins at a time.
     """
     k_bins, r = perms.shape
     tracks = np.arange(r)
@@ -253,17 +253,11 @@ def _track_signs(v: np.ndarray, perms: np.ndarray, phases: np.ndarray,
                               np.maximum(last[b0 - 1:b1 - 1], 0), tracks)
         v_cur = _aligned_rows(v, perms, phases, np.arange(b0, b1)[:, None], tracks)
         x[b0:b1] = np.einsum("kji,kji->kj", v_ref.conj(), v_cur).real
-    reset = x == 0.0  # bin 0 has no reference: x stays 0 there
-    reset[1:] |= last[:-1] < 0
-    negative = x < 0.0
-    # negative steps so far; the count is nondecreasing, so its value at the
-    # last reset is a running maximum
-    count = np.cumsum(refresh & ~reset & negative, axis=0)
-    base = np.where(refresh & reset, count, 0)
-    count -= np.maximum.accumulate(base, axis=0, out=base)
+    negative = x < 0.0  # bin 0 has no reference: x stays 0 there
+    negative[1:] &= last[:-1] >= 0
     odd = np.zeros((k_bins, r), dtype=bool)  # the reference's sign is -1
-    odd[1:] = np.bitwise_and(count[:-1], 1)
-    return np.where(~reset & (negative ^ odd), -1.0, 1.0)
+    odd[1:] = np.bitwise_and(np.cumsum(refresh & negative, axis=0)[:-1], 1)
+    return np.where(negative ^ odd, -1.0, 1.0)
 
 
 def _associate(u: np.ndarray, r: int):
@@ -322,10 +316,11 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     2. record the common unit phase that makes <u_prev, u_cur> real and
        positive; it aligns (u_cur, v_cur) wherever they are read, but
        bins.U and bins.V are never rotated in place or copied aligned;
-    3. if Re <v_ref, v_cur> < 0 for the track's reference right vector,
-       negate v_cur and the singular value at this bin (a sign change of
-       the underlying analytic singular value);
-    4. record the permutation and sign.
+    3. give v_cur and the singular value at this bin the track's sign at
+       its reference right vector v_ref, negated if Re <v_ref, v_cur> < 0
+       (a sign change of the underlying analytic singular value) and kept
+       if it is exactly 0; the sign is +1 while the track has no reference;
+    4. record the permutation and the signed value.
 
     The reference right vector is refreshed only at bins where the track's
     singular value is well above the bin's noise floor: at (near-)zero
@@ -342,7 +337,7 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
     the reference, in a Python loop that reads no permutation or phase.
     The compose stage chains maps and phases over all bins at once (see
     _associate).  Signs follow from the refresh chain as a cumulative
-    product of +-1 (see _track_signs).
+    count of negative steps (see _track_signs).
 
     The aligned vectors, which the association itself reads only one
     block or bin at a time, are rebuilt on demand by aligned_vectors.
@@ -382,7 +377,6 @@ def smooth_trajectories(bins: BinwiseSvd) -> SvTrajectories:
         values=values,
         permutations=perms,
         phases=phases,
-        signs=signs.T.copy(),
         ambiguous_bins=ambiguous_bins,
     )
 
@@ -392,10 +386,10 @@ def aligned_vectors(bins: BinwiseSvd, traj: SvTrajectories):
 
     Returns (U, V), (K, M, R) and (K, L, R): column m at bin k is the
     column permutations[k, m] of bins.U[k] (bins.V[k]) times phases[k, m],
-    and for V also times the track's sign, so that U[k] diag(values[:, k])
-    V[k]^H is A at bin k.  Both are transposed views of C-ordered
-    (K, R, M) and (K, R, L) arrays, so each track's vector at a bin is
-    contiguous.  ``bins`` must be the grid ``traj`` was tracked on.
+    and for V also times the sign of values[m, k], so that
+    U[k] diag(values[:, k]) V[k]^H is A at bin k.  Both are transposed
+    views of C-ordered (K, R, M) and (K, R, L) arrays, so each track's
+    vector at a bin is contiguous.  ``bins`` must be the grid ``traj`` was tracked on.
     """
     if traj.mode != "smooth" or traj.n_bins != bins.n_bins:
         raise ValueError("aligned vectors need smooth-mode trajectories "
@@ -407,7 +401,7 @@ def aligned_vectors(bins: BinwiseSvd, traj: SvTrajectories):
     tracks = np.arange(traj.n_tracks)
     u = _aligned_rows(bins.U, traj.permutations, traj.phases, k, tracks)
     v = _aligned_rows(bins.V, traj.permutations, traj.phases, k, tracks)
-    v *= traj.signs.T[:, :, None]
+    v *= np.copysign(1.0, traj.values).T[:, :, None]
     return u.transpose(0, 2, 1), v.transpose(0, 2, 1)
 
 

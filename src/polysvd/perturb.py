@@ -63,8 +63,10 @@ class RicianFit:
     """Method-of-moments Rician parameters for a nonnegative sample set.
 
     nu is the noncentrality, s the per-component scale; residual is the
-    absolute discrepancy of the matched sample moments (mean and variance)
-    under the fitted parameters; n is the number of samples.
+    relative discrepancy of the matched sample moments under the fitted
+    parameters, |E[X] - m1|/m1 + |Var[X] - var|/var for the sample mean
+    m1 and variance var, so it does not change when the samples are
+    scaled; n is the number of samples.
     """
 
     nu: float
@@ -269,7 +271,7 @@ def rician_fit(samples) -> RicianFit:
         theta = 0.5 * (lo + hi)
     h, v = _rician_moments(theta)
     s = m1 / h
-    residual = abs(s * h - m1) + abs(s * s * v - var)
+    residual = abs(s * h - m1) / m1 + abs(s * s * v - var) / var
     return RicianFit(nu=float(theta * s), s=float(s), residual=float(residual),
                      n=int(x.size))
 

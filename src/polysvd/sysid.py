@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .polymat import PolyMatrix
 from .sysgen import GroundTruthSystem, as_generator, complex_normal
@@ -114,7 +114,7 @@ def _windows(x: np.ndarray, back: int, start: int, stop: int):
     row = (_PHASES + back) * n_src
     groups = max(1, min(_BLOCK_ENTRIES // row, -(-(stop - start) // _PHASES)))
     buf = np.empty((groups * _PHASES + back) * n_src, dtype=np.complex128)
-    item = buf.itemsize
+    windows = sliding_window_view(buf, row, writeable=False)[:: _PHASES * n_src]
     for n0 in range(start, stop, groups * _PHASES):
         n1 = min(n0 + groups * _PHASES, stop)
         g = -(-(n1 - n0) // _PHASES)
@@ -124,9 +124,7 @@ def _windows(x: np.ndarray, back: int, start: int, stop: int):
         seg[: a - lo] = 0
         seg[a - lo : b - lo] = x[:, a:b].T
         seg[b - lo :] = 0
-        win = as_strided(seg, shape=(g, row), strides=(_PHASES * n_src * item, item),
-                         writeable=False)
-        yield n0, n1, win
+        yield n0, n1, windows[:g]
 
 
 def _convolved_blocks(a: PolyMatrix, x: np.ndarray):

@@ -408,19 +408,20 @@ class TestRicianFit:
             self, log_theta, log_s, n, seed, k):
         # theta = nu/s log-uniform in [0.1, 1e3], s in [1e-3, 1e3]: wherever
         # the fit is interior the bisection matches both moments to rounding,
-        # and scaling the samples by 2^k scales nu and s exactly
+        # and scaling the samples by 2^k scales nu and s exactly and leaves
+        # the relative residual unchanged
         s = 10.0**log_s
         nu = 10.0**log_theta * s
         rng = np.random.default_rng(seed)
         x = np.abs(nu + s * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
         fit = rician_fit(x)
         if fit.nu > 0.0:
-            m1, var = x.mean(), x.var()
-            assert fit.residual <= 1e-12 * (m1 * m1 + var)
+            assert fit.residual <= 1e-12
         c = 2.0**k
         scaled = rician_fit(c * x)
         assert scaled.nu == c * fit.nu
         assert scaled.s == c * fit.s
+        assert scaled.residual == fit.residual
 
 
 class TestStewartBounds:
