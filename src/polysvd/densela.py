@@ -4,14 +4,15 @@ package goes through, and the CPU-slot pool that runs independent tasks.
 The pool is one per process.  ``run_tasks`` runs a task list on the calling
 thread plus one worker thread per free slot: the usable CPUs (the process's
 affinity set, so ``taskset`` restricts them) minus one for the caller,
-minus the package workers already running.  Perturbation trials and the
-bin blocks of ``svd_stack`` run this way.  A nested call, such as the
-``svd_stack`` of a trial, gets only the slots left free and runs inline
-when there are none, so the package never runs more threads than there are
-usable CPUs.  Each task writes only its own results, so they are bitwise
-those of a serial loop, whatever the number of threads.  The ``sysid``
-GEMMs stay off the pool: the BLAS threads them itself, and package threads
-there would compete with the BLAS threads.
+minus the package workers already running; it is the only reader of the
+CPU count.  Perturbation trials and the _BLOCK-bin chunks of ``svd_stack``
+run this way.  A nested call, such as the ``svd_stack`` of a trial, gets
+only the slots left free and runs inline when there are none, so the
+package never runs more threads than there are usable CPUs.  Each task
+writes only its own results, so they are bitwise those of a serial loop,
+whatever the number of threads.  The ``sysid`` GEMMs stay off the pool:
+the BLAS threads them itself, and package threads there would compete with
+the BLAS threads.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import threading
 
 import numpy as np
 
-# Fewest bins a worker thread is given, and the bins per LAPACK call on the
-# path with singular vectors: a chunk's U, sigma and V^H temporaries stay
-# small next to the output, so the peak memory is the output plus a chunk
-# per worker.
+# Bins per LAPACK call, and so per task of svd_stack, on both paths: a
+# chunk's U, sigma and V^H temporaries stay small next to the output, so the
+# peak memory is the output plus one chunk per runner.
 _BLOCK = 256
 
 # worker threads of run_tasks alive in the process, counted under the lock
@@ -33,17 +33,13 @@ _pool_lock = threading.Lock()
 _pool_busy = 0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _claim(wanted: int) -> int:
     """Take up to ``wanted`` free slots of the pool; returns how many."""
     global _pool_busy
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     with _pool_lock:
-        n = max(0, min(wanted, _usable_cpus() - 1 - _pool_busy))
+        n = max(0, min(wanted, cpus - 1 - _pool_busy))
         _pool_busy += n
     return n
 
@@ -102,14 +98,14 @@ def run_tasks(fn, items) -> list:
     return results
 
 
-def _svd_block(mats, u, s, v, lo: int, hi: int) -> None:
-    """Write the SVD of bins lo .. hi-1 of ``mats`` into ``u``, ``s``, ``v``;
-    ``u`` and ``v`` are None for the singular values alone."""
+def _svd_block(mats, u, s, v, a: int) -> None:
+    """Write the SVD of bins a .. a + _BLOCK - 1 of ``mats`` into ``u``,
+    ``s``, ``v`` with one LAPACK call; ``u`` and ``v`` are None for the
+    singular values alone."""
+    b = a + _BLOCK
     if u is None:
-        s[lo:hi] = np.linalg.svd(mats[lo:hi], compute_uv=False)
-        return
-    for a in range(lo, hi, _BLOCK):
-        b = min(a + _BLOCK, hi)
+        s[a:b] = np.linalg.svd(mats[a:b], compute_uv=False)
+    else:
         u[a:b], s[a:b], vh = np.linalg.svd(mats[a:b], full_matrices=True)
         np.conj(np.swapaxes(vh, -1, -2), out=v[a:b])
 
@@ -120,12 +116,11 @@ def svd_stack(mats: np.ndarray, vectors: bool = True):
     The package's only call into LAPACK's SVD.  With ``vectors=False`` only
     the singular values are computed and U and V are returned as None.
 
-    The bins are cut into contiguous blocks, one per usable CPU and at
-    least _BLOCK bins each, and the blocks run as tasks of ``run_tasks``:
-    the calling thread decomposes the first, and each free slot of the pool
-    another.  Each matrix is decomposed on its own, so the results are
-    bitwise those of one ``np.linalg.svd`` call on the whole stack, whatever
-    the number of blocks or threads.
+    The bins are cut into chunks of _BLOCK bins, and the chunks run as the
+    tasks of ``run_tasks``, which alone decides how many threads share
+    them.  Each matrix is decomposed on its own, so the results are bitwise
+    those of one ``np.linalg.svd`` call on the whole stack, whatever the
+    number of chunks or threads.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.ndim != 3:
@@ -136,7 +131,5 @@ def svd_stack(mats: np.ndarray, vectors: bool = True):
     s = np.empty((k, min(m, l)))
     u = np.empty((k, m, m), dtype=np.complex128) if vectors else None
     v = np.empty((k, l, l), dtype=np.complex128) if vectors else None
-    n = max(1, min(_usable_cpus(), k // _BLOCK))
-    edges = [k * i // n for i in range(n + 1)]
-    run_tasks(lambda b: _svd_block(mats, u, s, v, *b), zip(edges, edges[1:]))
+    run_tasks(lambda a: _svd_block(mats, u, s, v, a), range(0, k, _BLOCK))
     return u, s, v

@@ -220,8 +220,9 @@ def rician_fit(samples) -> RicianFit:
     at or above the Rayleigh limit (4 - pi)/pi give theta = 0, the
     degenerate nu = 0 fit, with the variance mismatch reported in the
     residual.  The scale follows from the mean at theta.  The sample mean
-    is an exactly rounded sum over n, and the variance the mean squared
-    deviation from it, so a spread below one ulp of the mean is kept.
+    m1 is an exactly rounded sum over n, and the variance mean(d^2) -
+    mean(d)^2 with d = x - m1, so m1's rounding error does not inflate it,
+    and a spread below one ulp of the mean is kept.
 
     The moments are exact wherever theta^2 is finite (theta < 1e154).  hi
     stops at 1e30, past the theta of any n < 2^60 float samples that are
@@ -242,8 +243,9 @@ def rician_fit(samples) -> RicianFit:
         m1 = math.fsum(x) / x.size
     except OverflowError:
         m1 = math.inf
-    with np.errstate(over="ignore"):
-        var = float(((x - m1) ** 2).mean())
+    d = x - m1
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float((d * d).mean() - d.mean() ** 2)
     if not (np.isfinite(m1) and np.isfinite(var)):
         raise FloatingPointError("sample mean and variance must be finite")
     if var <= 0.0 or m1 <= 0.0:

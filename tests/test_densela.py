@@ -141,7 +141,7 @@ def one_call(mats):
 class TestSvdStackBlocks:
     @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
     @pytest.mark.parametrize("shape", [(6, 6), (3, 2), (2, 3)])
-    @pytest.mark.parametrize("k", [1, 255, 257, 4097])
+    @pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 4097])
     def test_bitwise_equal_to_one_call(self, cpus, shape, k):
         mats = RNG.standard_normal((k, *shape)) + 1j * RNG.standard_normal((k, *shape))
         for got, want in zip(svd_stack(mats), one_call(mats)):
@@ -152,23 +152,30 @@ class TestSvdStackBlocks:
 
     @pytest.mark.parametrize("cpus", [3], indirect=True)
     @pytest.mark.parametrize("vectors", [False, True])
-    def test_one_thread_per_block(self, cpus, svd_calls, vectors):
-        # 4097 bins on 3 CPUs: blocks of 1365, 1366 and 1366 bins; the
-        # caller's thread takes the first, and with vectors each block is
-        # walked in chunks of _BLOCK bins
+    def test_one_thread_per_block(self, cpus, monkeypatch, svd_calls, vectors):
+        # 4097 bins are 17 chunks of _BLOCK bins but the last, one LAPACK
+        # call each, run round-robin by the caller and 2 workers: the caller
+        # takes chunks 0, 3, 6, ...
+        chunks = []
+        block = densela._svd_block
+
+        def recording(mats, u, s, v, a):
+            chunks.append((threading.current_thread(), a // densela._BLOCK))
+            block(mats, u, s, v, a)
+
+        monkeypatch.setattr(densela, "_svd_block", recording)
         svd_stack(np.ones((4097, 2, 2)), vectors=vectors)
+        assert sorted(bins for _, bins in svd_calls) == [1] + [densela._BLOCK] * 16
         per_thread = {}
-        for thread, bins in svd_calls:
-            per_thread.setdefault(thread, []).append(bins)
-        assert len(per_thread) == 3
-        assert sum(per_thread[threading.current_thread()]) == 1365
-        assert sorted(sum(b) for b in per_thread.values()) == [1365, 1366, 1366]
-        assert max(bins for _, bins in svd_calls) == (
-            densela._BLOCK if vectors else 1366)
+        for thread, chunk in chunks:
+            per_thread.setdefault(thread, []).append(chunk)
+        assert per_thread[threading.current_thread()] == list(range(0, 17, 3))
+        assert sorted(per_thread.values()) == [
+            list(range(0, 17, 3)), list(range(1, 17, 3)), list(range(2, 17, 3))]
 
     @pytest.mark.parametrize("cpus", [16], indirect=True)
     def test_more_workers_than_cores(self, cpus):
-        # 16 blocks of 256 bins with a thread switch every microsecond
+        # 16 chunks of 256 bins with a thread switch every microsecond
         mats = RNG.standard_normal((16 * densela._BLOCK, 3, 3)) + 0j
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -181,9 +188,14 @@ class TestSvdStackBlocks:
 
     @pytest.mark.parametrize("cpus", [64], indirect=True)
     def test_small_stacks_stay_on_the_caller(self, cpus, svd_calls):
-        svd_stack(np.ones((2 * densela._BLOCK - 1, 2, 2)), vectors=False)
+        # one chunk is one task, which the caller runs; a second chunk goes
+        # to a worker
+        svd_stack(np.ones((densela._BLOCK, 2, 2)), vectors=False)
+        svd_stack(np.ones((densela._BLOCK, 2, 2)))
         svd_stack(np.eye(3)[None])
         assert {thread for thread, _ in svd_calls} == {threading.current_thread()}
+        svd_stack(np.ones((densela._BLOCK + 1, 2, 2)))
+        assert len({thread for thread, _ in svd_calls}) == 2
 
     @pytest.mark.parametrize("cpus", [2], indirect=True)
     @pytest.mark.parametrize("failing", ["caller", "worker"])
@@ -205,15 +217,15 @@ class TestSvdStackBlocks:
         assert threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("count, blocks", [(3, 3), (None, 1)])
-def test_cpu_count_fallback(monkeypatch, svd_calls, count, blocks):
-    # without sched_getaffinity (macOS, Windows) the blocks follow
+@pytest.mark.parametrize("count, threads", [(3, 3), (None, 1)])
+def test_cpu_count_fallback(monkeypatch, svd_calls, count, threads):
+    # without sched_getaffinity (macOS, Windows) the threads follow
     # os.cpu_count(), and one CPU when that is unknown
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     mats = RNG.standard_normal((4097, 3, 2)) + 1j * RNG.standard_normal((4097, 3, 2))
     got = svd_stack(mats)
-    assert len({thread for thread, _ in svd_calls}) == blocks
+    assert len({thread for thread, _ in svd_calls}) == threads
     for g, want in zip(got, one_call(mats)):
         assert np.array_equal(g, want)
 

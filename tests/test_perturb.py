@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,19 @@ class TestRicianFit:
         x[0] = 2.0
         fit = rician_fit(x)
         assert 0.5 * 2.22e-19 <= fit.s <= 2.0 * 2.22e-19
+
+    def test_few_ulp_spread_not_inflated(self):
+        # 0.7 plus 0, 1, 2 and 3 ulps, 100 samples each: the exact mean lies
+        # half an ulp off the float grid, so a mean squared deviation from
+        # the rounded mean reads the variance 20 % high
+        x = 0.7 + np.spacing(0.7) * np.repeat(np.arange(4.0), 100)
+        exact = [Fraction(v) for v in x]
+        mean = sum(exact) / x.size
+        var = float(sum((v - mean) ** 2 for v in exact) / x.size)
+        fit = rician_fit(x)
+        h, v = perturb._rician_moments(fit.nu / fit.s)
+        assert fit.s * h / float(mean) == pytest.approx(1.0, abs=1e-15)
+        assert fit.s**2 * v / var == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_samples_rejected(self):
         with pytest.raises(ValueError):
