@@ -35,8 +35,8 @@ _SIGN_REF_REL_FLOOR = 1e-7
 # Greedy-match score margin below which the association is reported ambiguous.
 AMBIGUITY_MARGIN = 0.1
 
-# Bins per batched product in smooth association, and rows per formatting
-# call of the CSV writer: bounds their temporaries.
+# Bins per batched product in smooth association, and rows per `%` call of
+# the CSV writer `_write_rows`: bounds their temporaries.
 _BLOCK = 512
 
 
@@ -456,27 +456,25 @@ def track_deviation(values: np.ndarray, reference: np.ndarray) -> float:
 
 def write_trajectory_csv(traj: SvTrajectories, fh, extra: Optional[dict] = None,
                          meta_line: Optional[str] = None) -> None:
-    """Write `omega,track_1,...,track_R[,extra...],mode` rows at 17 digits
-    to the text file ``fh``.
-
-    ``extra`` maps column names to (R_extra, K) arrays appended between the
-    tracks and the mode column; ``meta_line`` is emitted verbatim first.
-    """
+    """Write ``traj`` through `_write_rows` as `omega,track_1,...,track_R,
+    [extra...,]mode`; ``extra`` maps names to (R_extra, K) arrays."""
     extra = extra or {}
     names = ["omega"] + [f"track_{m + 1}" for m in range(traj.n_tracks)]
     for name, arr in extra.items():
         names += [f"{name}_{m + 1}" for m in range(arr.shape[0])]
-    header = ",".join(names + ["mode"])
-    if meta_line is not None:
-        header = meta_line + "\n" + header
-    fh.write(header + "\n")
-    _write_rows(fh, np.vstack([traj.omegas, traj.values, *extra.values()]).T,
-                ",".join(["%.17g"] * len(names) + [traj.mode]))
+    _write_rows(fh, names + ["mode"],
+                np.vstack([traj.omegas, traj.values, *extra.values()]).T,
+                meta_line, tail="," + traj.mode)
 
 
-def _write_rows(fh, table: np.ndarray, row_fmt: str) -> None:
-    """Write each row of the 2-D ``table`` as ``row_fmt % tuple(row)`` and a
-    newline, formatting _BLOCK rows per call."""
+def _write_rows(fh, names: list, table: np.ndarray,
+                meta_line: Optional[str] = None, tail: str = "") -> None:
+    """The package's one CSV writer: ``meta_line`` if given, the header
+    ``names``, then each row of the 2-D ``table`` as ``%.17g`` cells and
+    ``tail``.  ``%.17g`` reads back bitwise and prints integers below 1e17
+    as plain digits."""
+    fh.write(("" if meta_line is None else meta_line + "\n") + ",".join(names) + "\n")
+    fmt = ",".join(["%.17g"] * table.shape[1]) + tail + "\n"
     for b0 in range(0, table.shape[0], _BLOCK):
         block = table[b0:b0 + _BLOCK]
-        fh.write(((row_fmt + "\n") * len(block)) % tuple(block.ravel().tolist()))
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))

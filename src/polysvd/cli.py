@@ -83,16 +83,14 @@ def _json_output(path: Path, payload: dict, ns: argparse.Namespace,
     return path, lambda fh: fh.write(text)
 
 
-def _table_output(path: Path, columns: dict, row_fmt: str,
-                  ns: argparse.Namespace):
-    """Tabular output honoring --format; ``columns`` maps names to arrays and
-    ``row_fmt`` is the CSV row format."""
+def _table_output(path: Path, columns: dict, ns: argparse.Namespace):
+    """Tabular output honoring --format; ``columns`` maps names to arrays."""
     _check_finite(path, *columns.values())
 
     def write(fh):
         if ns.fmt == "csv":
-            fh.write(_meta_line(ns) + "\n" + ",".join(columns) + "\n")
-            anasvd._write_rows(fh, np.column_stack(list(columns.values())), row_fmt)
+            table = np.column_stack(list(columns.values()))
+            anasvd._write_rows(fh, list(columns), table, _meta_line(ns))
         else:
             rows = list(zip(*(col.tolist() for col in columns.values())))
             fh.write(_json_text(path, {"columns": list(columns), "rows": rows}, ns))
@@ -204,7 +202,7 @@ def cmd_hist(ns: argparse.Namespace) -> str:
                "index": np.tile(np.arange(1, n_index + 1), n_trials),
                "value": samples.T.ravel()}
     _write_outputs(out, [
-        _table_output(out / f"hist_samples.{ns.fmt}", columns, "%d,%d,%.17g", ns),
+        _table_output(out / f"hist_samples.{ns.fmt}", columns, ns),
         _json_output(out / "hist_fits.json",
                      {"omega0": omega0, "sigma2_e": ns.sigma2_e, "fits": fits,
                       "sample_min": samples.min(axis=1).tolist()}, ns),

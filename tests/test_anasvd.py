@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -22,8 +23,10 @@ from polysvd import (
 )
 from polysvd.anasvd import (
     AMBIGUITY_MARGIN,
+    _BLOCK,
     _adjacent_matches,
     _greedy_match,
+    _write_rows,
     write_trajectory_csv,
 )
 from polysvd.perturb import random_error, scale_to_normalized
@@ -625,3 +628,36 @@ class TestCsv:
         got = np.array([[float(v) for v in c[:-1]] for c in cells]).T
         assert np.array_equal(got, np.vstack([t.omegas, t.values, ref]))
         assert np.array_equal(np.signbit(got[1]), np.signbit(t.values[0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 5), n_cols=st.integers(1, 5),
+           repeat=st.sampled_from([1, _BLOCK]),
+           meta_line=st.none() | st.text(st.characters(blacklist_characters="\r\n")),
+           tail=st.sampled_from(["", ",smooth", ",majorized"]))
+    def test_rows_read_back_bitwise(self, data, n_rows, n_cols, repeat, meta_line,
+                                    tail):
+        # repeated rows run past one formatting block
+        cell = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, -2.5e-308, 1e300, -1e300, 1e17]),
+            st.integers(-2**53, 2**53).map(float))
+        rows = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows))
+        table = np.tile(np.array(rows, dtype=float).reshape(n_rows, n_cols),
+                        (repeat, 1))
+        names = [f"c{j}" for j in range(n_cols)]
+        buf = io.StringIO()
+        _write_rows(buf, names, table, meta_line, tail)
+        lines = buf.getvalue().split("\n")
+        assert lines.pop() == ""
+        if meta_line is not None:
+            assert lines.pop(0) == meta_line
+        assert lines.pop(0) == ",".join(names)
+        assert len(lines) == len(table)
+        assert all(line.endswith(tail) for line in lines)
+        cells = [line[:len(line) - len(tail)].split(",") for line in lines]
+        got = np.array([[float(v) for v in c] for c in cells]).reshape(table.shape)
+        assert np.array_equal(got.view(np.uint64), table.view(np.uint64))
+        for text, x in zip(itertools.chain(*cells), table.ravel()):
+            if x == int(x) and abs(x) < 1e17:
+                assert re.fullmatch(r"-?[0-9]+", text)

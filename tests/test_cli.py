@@ -310,6 +310,37 @@ class TestPerturb:
         assert not out.exists()
 
 
+_PERTURB_HEADER = ",".join(["omega"] + [f"track_{m}" for m in range(1, 7)]
+                           + [f"ref_{m}" for m in range(1, 7)] + ["mode"])
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["ex1", "--bins", "64"], "omega,track_1,track_2,mode"),
+    (["perturb", "--bins", "64", "--sigma2-norm", "1e-4"], _PERTURB_HEADER),
+], ids=["ex1", "perturb"])
+def test_csv_cells_equal_json_numbers(tmp_path, argv, header):
+    # one writer prints every CSV number; each reads back as the JSON number
+    for fmt in ("csv", "json"):
+        assert run([*argv, "--out", str(tmp_path / fmt), "--format", fmt]) == EXIT_OK
+    tables = sorted((tmp_path / "csv").glob("*.csv"))
+    assert len(tables) == (2 if argv[0] == "ex1" else 1)
+    for path in tables:
+        doc = json.loads((tmp_path / "json" / path.name).with_suffix(".json").read_text())
+        meta, head, *rows = path.read_text().splitlines()
+        config = json.loads(meta.removeprefix("# "))["config"]
+        config.update(fmt="json", out_dir=str(tmp_path / "json"))
+        assert config == doc["meta"]["config"]
+        assert head == header
+        want = [doc["omega"]]
+        for name in head.split(",")[1:-1]:
+            key, m = name.rsplit("_", 1)
+            want.append(doc["tracks" if key == "track" else key][int(m) - 1])
+        cells = [row.split(",") for row in rows]
+        assert {c[-1] for c in cells} == {doc["mode"]}
+        got = np.array([[float(v) for v in c[:-1]] for c in cells]).T
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
 class TestSysid:
     def test_report(self, tmp_path):
         out = tmp_path / "o"
@@ -789,10 +820,10 @@ def _io_sites(module):
 @pytest.mark.parametrize("module", ["polymat", "densela", "sysgen", "perturb",
                                     "sysid", "anasvd"])
 def test_numeric_modules_do_no_io(module):
-    # the command line does the I/O; anasvd's trajectory CSV writer stays
-    # until it moves out with the benchmark's tracer, which looks it up by name
-    allowed = {"anasvd": ["anasvd.write_trajectory_csv: .write()",
-                          "anasvd._write_rows: .write()"]}
+    # the command line does the I/O; anasvd's one CSV writer stays until it
+    # moves out with the benchmark's tracer, which looks up
+    # write_trajectory_csv by name
+    allowed = {"anasvd": ["anasvd._write_rows: .write()"] * 2}
     assert _io_sites(module) == allowed.get(module, [])
 
 
