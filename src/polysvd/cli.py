@@ -194,8 +194,6 @@ def cmd_hist(ns: argparse.Namespace) -> str:
             fit = perturb.rician_fit(samples[m])
         except ValueError as exc:
             raise _UsageError(f"hist: cannot fit index {m + 1}: {exc}") from None
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"hist: cannot fit index {m + 1}: {exc}") from None
         fits.append({"index": m + 1, **dataclasses.asdict(fit)})
     n_index, n_trials = samples.shape
     columns = {"trial": np.repeat(np.arange(n_trials), n_index),

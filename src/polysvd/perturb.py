@@ -224,13 +224,15 @@ def rician_fit(samples) -> RicianFit:
     mean(d)^2 with d = x - m1, so m1's rounding error does not inflate it,
     and a spread below one ulp of the mean is kept.
 
-    The moments are exact wherever theta^2 is finite (theta < 1e154).  hi
+    The fit runs on the samples scaled by 2^-e, e the binary exponent of
+    the largest, and scales nu and s back: a power of two is exact, so the
+    moments of any finite sample set stay finite and normal, and scaling
+    the samples by 2^k scales nu and s exactly and keeps the residual.  hi
     stops at 1e30, past the theta of any n < 2^60 float samples that are
-    not all equal (theta < 2^53 sqrt(n) < 1e25); a larger one, a ratio
-    that the overflowing squared mean sent to 0, raises ValueError.
+    not all equal (theta < 2^53 sqrt(n) < 1e25), so its ValueError is not
+    reached.
 
-    NaN, infinite or negative samples raise ValueError; finite samples
-    whose mean or variance overflows raise FloatingPointError.
+    NaN, infinite or negative samples raise ValueError.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 100:
@@ -239,15 +241,11 @@ def rician_fit(samples) -> RicianFit:
         raise ValueError("samples must be finite")
     if np.any(x < 0):
         raise ValueError("samples must be nonnegative")
-    try:
-        m1 = math.fsum(x) / x.size
-    except OverflowError:
-        m1 = math.inf
+    e = int(np.frexp(x.max())[1])
+    x = np.ldexp(x, -e)
+    m1 = math.fsum(x) / x.size
     d = x - m1
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = float((d * d).mean() - d.mean() ** 2)
-    if not (np.isfinite(m1) and np.isfinite(var)):
-        raise FloatingPointError("sample mean and variance must be finite")
+    var = float((d * d).mean() - d.mean() ** 2)
     if var <= 0.0 or m1 <= 0.0:
         raise ValueError("degenerate samples: no spread to fit")
     rho = var / (m1 * m1)
@@ -274,8 +272,8 @@ def rician_fit(samples) -> RicianFit:
     h, v = _rician_moments(theta)
     s = m1 / h
     residual = abs(s * h - m1) / m1 + abs(s * s * v - var) / var
-    return RicianFit(nu=float(theta * s), s=float(s), residual=float(residual),
-                     n=int(x.size))
+    return RicianFit(nu=math.ldexp(theta * s, e), s=math.ldexp(s, e),
+                     residual=float(residual), n=int(x.size))
 
 
 def stewart_bounds(a_bin, e_bin, m: int) -> StewartCheck:

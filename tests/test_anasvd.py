@@ -146,6 +146,22 @@ class TestSmooth:
         )
         assert track_deviation(sm.values, forms) <= 1e-8
 
+    @pytest.mark.parametrize("n_bins", [8, 16, 64, 1024, 4096])
+    def test_exact_crossing_on_a_grid_bin(self, n_bins):
+        # example1's U and V with sigma_1 = 1 and sigma_2 = 1 + cos(omega):
+        # the tracks cross at omega = pi/2 and 3 pi/2, bins K/4 and 3K/4,
+        # where LAPACK's basis is arbitrary.  Matching each bin against
+        # its neighbour alone swaps the tracks there.
+        ex = example1()
+        s2 = PolyMatrix(np.array([0.5, 1, 0.5], dtype=complex).reshape(1, 1, 3), -1)
+        a = assemble(ex.U, (PolyMatrix.constant(np.ones((1, 1))), s2), ex.V).A
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AssociationAmbiguous)
+            sm = smooth_trajectories(binwise_svd(a, n_bins))
+        forms = np.stack([np.ones(n_bins), 1 + np.cos(sm.omegas)])
+        assert track_deviation(sm.values, forms) <= 1e-12
+        assert set(sm.ambiguous_bins) <= {n_bins // 4, 3 * n_bins // 4}
+
     def test_multiset_matches_majorized(self):
         b = binwise_svd(example1().A, 128)
         sm = smooth_trajectories(b)

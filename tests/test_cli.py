@@ -25,6 +25,7 @@ from polysvd import (
     binwise_svd,
     example1,
     random_paraunitary,
+    rician_fit,
     smooth_trajectories,
 )
 from polysvd import cli, sysid
@@ -431,18 +432,22 @@ def test_overflowing_normalized_level_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_overflowing_hist_draw_is_a_numerical_failure(tmp_path, capsys):
-    # finite samples whose mean overflows
+def test_overflowing_hist_draw_fits(tmp_path, capsys):
+    # samples near 1e154, whose squared mean overflows, fit on a copy
+    # scaled by a power of two
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["hist", "--trials", "100", "--sigma2-e", "1.7e308",
                     "--out", str(out)])
-    assert code == EXIT_TOLERANCE
-    assert capsys.readouterr().err == (
-        "numerical failure: hist: cannot fit index 1: sample mean and variance "
-        "must be finite; not written\n")
-    assert not out.exists()
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    samples = bin_histogram_trials(example1(), np.pi, 100, 1.7e308,
+                                   SeededRng(0, stream=0))
+    fits = json.loads((out / "hist_fits.json").read_text())["fits"]
+    assert fits == [{"index": m + 1, **dataclasses.asdict(rician_fit(row))}
+                    for m, row in enumerate(samples)]
+    assert all(1e153 < f["nu"] < 1e155 for f in fits)
 
 
 def test_failed_check_is_reported_after_writing(tmp_path, capsys):

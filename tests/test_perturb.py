@@ -1,5 +1,6 @@
 """Perturbation draws, normalized variance, Rician fits, Stewart bounds."""
 
+import math
 import os
 import re
 import subprocess
@@ -348,14 +349,13 @@ class TestRicianFit:
         assert fit.s == pytest.approx(s, rel=0.03)
         assert fit.nu == pytest.approx(0.5, abs=0.1 * s)
 
-    def test_overflowing_squared_mean_out_of_range(self):
-        # relative spread 2^-50: theta ~ 1e15 fits, until the squared mean
-        # overflows and the ratio reads 0
+    def test_squared_mean_overflow_fits(self):
+        # relative spread 2^-50: theta ~ 1e15 fits at any scale, also where
+        # the squared mean of the unscaled samples overflows
         x = 1 + 2.0**-50 * np.random.default_rng(9).standard_normal(200)
-        fit = rician_fit(1.1e154 * x)
-        assert fit.nu / fit.s > 1e14
-        with pytest.raises(ValueError, match="^sample ratio out of the Rician range$"):
-            rician_fit(1.4e154 * x)
+        for c in (1.1e154, 1.4e154):
+            fit = rician_fit(c * x)
+            assert fit.nu / fit.s > 1e14
 
     def test_sub_ulp_spread_recovered(self):
         # one sample of 10^6 an ulp above the rest: the spread is 2.22e-19,
@@ -406,18 +406,30 @@ class TestRicianFit:
             rician_fit(x)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-60], ids=["mean", "variance"])
-    def test_overflowing_moments_rejected(self, scale):
+    def test_overflowing_moments_fit(self, scale):
         # finite samples whose sum (scale 1) or squared spread (scale 2^-60)
-        # overflows: the fit used to return inf or a NaN residual
+        # overflows unscaled
         x = scale * np.repeat([1e308, 1.7e308], 100)
-        with pytest.raises(FloatingPointError,
-                           match="^sample mean and variance must be finite$"):
-            rician_fit(x)
+        fit = rician_fit(x)
+        assert 1e308 * scale < fit.nu < 1.7e308 * scale
+        assert 0.0 < fit.s < fit.nu
+        assert fit.residual < 1e-13
+
+    @pytest.mark.parametrize("k", [-1000, -600, -520, 510, 1000])
+    def test_power_of_two_scaling_over_the_exponent_range(self, k):
+        # unscaled, d^2 = (x - m1)^2 goes subnormal at 2^-520, underflows to
+        # 0 at 2^-600 and overflows at 2^510
+        x = np.abs(np.random.default_rng(0).standard_normal(1000)) + 0.3
+        fit = rician_fit(x)
+        scaled = rician_fit(np.ldexp(x, k))
+        assert scaled.nu == math.ldexp(fit.nu, k)
+        assert scaled.s == math.ldexp(fit.s, k)
+        assert scaled.residual == fit.residual
 
     @settings(max_examples=60, deadline=None)
     @given(log_theta=st.floats(-1.0, 3.0), log_s=st.floats(-3.0, 3.0),
            n=st.integers(100, 20000), seed=st.integers(0, 2**32 - 1),
-           k=st.integers(-30, 30))
+           k=st.integers(-900, 900))
     def test_moment_match_and_power_of_two_scaling_property(
             self, log_theta, log_s, n, seed, k):
         # theta = nu/s log-uniform in [0.1, 1e3], s in [1e-3, 1e3]: wherever
