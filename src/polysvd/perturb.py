@@ -230,7 +230,8 @@ def rician_fit(samples) -> RicianFit:
     the samples by 2^k scales nu and s exactly and keeps the residual.  hi
     stops at 1e30, past the theta of any n < 2^60 float samples that are
     not all equal (theta < 2^53 sqrt(n) < 1e25), so its ValueError is not
-    reached.
+    reached.  nu is at most the sample mean, so every finite fit stays
+    finite when scaled back.
 
     NaN, infinite or negative samples raise ValueError.
     """
@@ -272,7 +273,9 @@ def rician_fit(samples) -> RicianFit:
     h, v = _rician_moments(theta)
     s = m1 / h
     residual = abs(s * h - m1) / m1 + abs(s * s * v - var) / var
-    return RicianFit(nu=math.ldexp(theta * s, e), s=math.ldexp(s, e),
+    # nu < E[X] = m1 for every Rician law, so theta s above m1 is rounding;
+    # near the float maximum it would overflow the scaling back
+    return RicianFit(nu=math.ldexp(min(theta * s, m1), e), s=math.ldexp(s, e),
                      residual=float(residual), n=int(x.size))
 
 

@@ -12,15 +12,18 @@ x they depend on, as overlapping read-only views of one small zero-padded,
 time-major copy of a block's segment of x.  The convolution multiplies the
 windows by a block-Toeplitz tap matrix, and the lag products are the block
 diagonals of one Gram of the windows against P time-major samples of
-[x; y] per row.  The MSE split streams the same convolution blocks:
-each has the matching slice of y subtracted and adds its squared norm
-to the residual sum, so no residual is stored.  One block is held at a
-time, so memory stays O((L + M) N + block), the frame plus one block.
+[x; y] per row.  The normal equations also give the fit's in-sample MSE,
+so the MSE split of an estimate on the frame it was fit on convolves
+nothing.  Any other split streams the same convolution blocks: each has
+the matching slice of y subtracted and adds its squared norm to the
+residual sum, so no residual is stored.  One block is held at a time, so
+memory stays O((L + M) N + block), the frame plus one block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,6 +45,12 @@ _BLOCK_ENTRIES = 1 << 16
 # once per tap, and the GEMMs are P times wider; 4..16 were within ~15 % of
 # each other on bigsys, 8 the fastest
 _PHASES = 8
+
+# The normal-equation MSE S_yy/C - 2 Re<A_hat, R_yx> + <A_hat R_xx, A_hat>
+# cancels: its relative error is 1-2 eps (S_yy/C)/xi, so wiener_estimate
+# keeps it only where xi >= _XI_FLOOR S_yy/C (at most 5.3e-12 over 3000
+# random small fits); a noiseless exact fit reads about -1e-15 and streams
+_XI_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -69,12 +78,23 @@ class WienerEstimate:
     condition is lambda_max / lambda_min of the regularized normal matrix
     R_xx + regularization I (inf if it is not positive definite), or None
     for an estimate that did not come from the normal equations.
+
+    fit_mse is (weak reference to the frame, xi_MSE on it) when
+    wiener_estimate could take xi from its normal equations, else None.
+    It is not an argument: a hand-built estimate, a dataclasses.replace
+    copy or a pickled one has none, so mse_decomposition streams its
+    residual.  The weak reference keeps no frame alive.
     """
 
     A_hat: PolyMatrix
     J_hat: int
     regularization: float
     condition: Optional[float] = None
+    fit_mse: Optional[tuple] = field(default=None, init=False, compare=False,
+                                     repr=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "fit_mse": None}  # a weakref does not pickle
 
 
 @dataclass(frozen=True)
@@ -165,7 +185,8 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     Additive noise is spatially and temporally white CN(0, sigma2_v), drawn
     into y in row-major blocks of _BLOCK_ENTRIES samples, so it takes no
     temporary as large as y and equals one (M, N) draw bit for bit.
-    Requires n_samples to exceed the system order.
+    Requires n_samples to exceed the system order.  The frame's x and y
+    are read-only, so an estimate fit on it can keep its xi_MSE.
     """
     if not 0.0 <= sigma2_v < np.inf:
         raise ValueError(f"sigma2_v = {sigma2_v} must be finite and >= 0")
@@ -181,6 +202,7 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
         for i in range(0, flat.size, _BLOCK_ENTRIES):
             blk = flat[i : i + _BLOCK_ENTRIES]
             blk += complex_normal(g, blk.shape, sigma2_v)
+    x.flags.writeable = y.flags.writeable = False
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v))
 
 
@@ -261,6 +283,15 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     data.  Raises ValueError when the record holds fewer than D
     post-transient samples (N - J_hat < D).  The estimate carries the
     condition number of R_xx + reg I, from its eigenvalues.
+
+    fit_mse holds the in-sample xi_MSE over n = J_hat..N-1 from the
+    unregularized R_xx and R_yx, with C = N - J_hat and S_yy the sum of
+    ||y[n]||^2 over contiguous rows of y:
+
+        xi = S_yy/C - 2 Re<A_hat, R_yx> + Re<A_hat R_xx, A_hat>.
+
+    It is kept only for read-only x and y, finite S_yy and xi, and
+    xi >= _XI_FLOOR S_yy/C, since the form cancels.
     """
     if j_hat < 0:
         raise ValueError("j_hat must be >= 0")
@@ -269,19 +300,31 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     d = (j_hat + 1) * n_src
     if reg is None:
         reg = 1e-10 * float(np.real(np.trace(r_xx))) / d
-    lhs = r_xx
-    lhs.flat[:: d + 1] += reg  # R_xx + reg I, in place
-    lam = np.linalg.eigvalsh(lhs)
+    diag = r_xx.diagonal().copy()
+    r_xx.flat[:: d + 1] += reg  # R_xx + reg I, in place
+    lam = np.linalg.eigvalsh(r_xx)
     condition = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
-    # R_xx is Hermitian, so solving lhs^T Z = R_yx^T gives Z^T = A_hat
-    a_flat = np.linalg.solve(lhs.T, r_yx.T).T
+    # R_xx + reg I is Hermitian, so solving its transpose for R_yx^T
+    # gives A_hat^T
+    a_flat = np.linalg.solve(r_xx.T, r_yx.T).T
+    r_xx.flat[:: d + 1] = diag
     taps = a_flat.reshape(r_yx.shape[0], j_hat + 1, n_src)
-    return WienerEstimate(
+    est = WienerEstimate(
         A_hat=PolyMatrix(np.moveaxis(taps, 1, 2), 0),
         J_hat=j_hat,
         regularization=float(reg),
         condition=condition,
     )
+    count = frame.n_samples - j_hat
+    with np.errstate(all="ignore"):  # a non-finite xi is not kept
+        s_yy = sum(np.vdot(row, row).real for row in frame.y[:, j_hat:])
+        xi = float(s_yy / count - 2.0 * np.vdot(a_flat, r_yx).real
+                   + np.vdot(a_flat, a_flat @ r_xx).real)
+    if (not (frame.x.flags.writeable or frame.y.flags.writeable)
+            and np.isfinite(s_yy) and np.isfinite(xi)
+            and xi >= _XI_FLOOR * s_yy / count):
+        object.__setattr__(est, "fit_mse", (weakref.ref(frame), xi))
+    return est
 
 
 def error_system(est: WienerEstimate, sys: GroundTruthSystem) -> PolyMatrix:
@@ -299,11 +342,14 @@ def mse_decomposition(
 
     xi_mse averages ||(A_hat * x)[n] - y[n]||^2 over the post-transient
     samples n = J_hat..N-1, with zero initial state; the gap term reports
-    the absolute mismatch of the decomposition.  The residual is summed one
-    convolution block at a time: each block of A_hat * x has the matching
-    time-major slice of y subtracted in place and adds its squared norm, so
-    no N-length array is made.  Raises ValueError when J_hat is outside
-    0..N-1 or A_hat does not map the frame's sources to its outputs.
+    the absolute mismatch of the decomposition.  An estimate that
+    wiener_estimate fit on this very frame brings xi from its normal
+    equations (WienerEstimate.fit_mse, within ~5e-12 relative).  Otherwise
+    the residual is summed one convolution block at a time: each block of
+    A_hat * x has the matching time-major slice of y subtracted in place
+    and adds its squared norm, so no N-length array is made.  Raises
+    ValueError when J_hat is outside 0..N-1 or A_hat does not map the
+    frame's sources to its outputs.
     """
     x, y, n, j_hat = frame.x, frame.y, frame.n_samples, est.J_hat
     if not 0 <= j_hat < n:
@@ -312,16 +358,19 @@ def mse_decomposition(
     if (est.A_hat.rows, est.A_hat.cols) != (y.shape[0], x.shape[0]):
         raise ValueError(f"A_hat is {est.A_hat.rows}x{est.A_hat.cols} but the "
                          f"frame has {y.shape[0]} outputs and {x.shape[0]} sources")
-    # before n_min the estimate outputs zero, so the residual is -y there
-    head = y[:, j_hat : max(j_hat, est.A_hat.n_min)]
-    sq_sum = np.vdot(head, head).real
-    for n0, n1, out in _convolved_blocks(est.A_hat, x):
-        lo = max(n0, j_hat)
-        if lo < n1:
-            resid = out[lo - n0 :]
-            resid -= y[:, lo:n1].T
-            sq_sum += np.vdot(resid, resid).real
-    xi = float(sq_sum) / (n - j_hat)
+    if est.fit_mse is not None and est.fit_mse[0]() is frame:
+        xi = est.fit_mse[1]
+    else:
+        # before n_min the estimate outputs zero, so the residual is -y there
+        head = y[:, j_hat : max(j_hat, est.A_hat.n_min)]
+        sq_sum = np.vdot(head, head).real
+        for n0, n1, out in _convolved_blocks(est.A_hat, x):
+            lo = max(n0, j_hat)
+            if lo < n1:
+                resid = out[lo - n0 :]
+                resid -= y[:, lo:n1].T
+                sq_sum += np.vdot(resid, resid).real
+        xi = float(sq_sum) / (n - j_hat)
     err_energy = error_system(est, sys).frob_energy()
     noise_floor = y.shape[0] * frame.sigma2_v
     return MseReport(

@@ -358,12 +358,16 @@ class TestSysid:
         assert err["M"] == 2 and err["L"] == 2
 
     def test_noiseless_exact(self, tmp_path):
+        # the normal-equation xi of an exact fit cancels to about -9e-16
+        # here, so the guard streams the residual instead
         out = tmp_path / "o"
         code = run(["sysid", "--N", "50000", "--sigma2-v", "0",
                     "--out", str(out)])
         assert code == EXIT_OK
         rep = json.loads((out / "sysid_report.json").read_text())
         assert rep["error_energy"] <= 1e-6 * example1().A.frob_energy()
+        assert rep["xi_mse"] >= 0.0
+        assert rep["decomposition_gap"] <= 1e-20
 
     def test_memory_is_frame_plus_blocks(self, tmp_path):
         # the (2, N) x and y are 25.6 MB here; identification and the MSE

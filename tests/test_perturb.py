@@ -415,6 +415,15 @@ class TestRicianFit:
         assert 0.0 < fit.s < fit.nu
         assert fit.residual < 1e-13
 
+    def test_largest_floats_fit(self):
+        # theta s rounds above the mean of two adjacent floats at the float
+        # maximum, which the scaling back by 2^1024 would overflow
+        top = np.finfo(float).max
+        for lo in (np.nextafter(top, 0), top * (1 - 2.0**-50)):
+            fit = rician_fit(np.repeat([lo, top], 100))
+            assert lo <= fit.nu <= top
+            assert 0.0 < fit.s < fit.nu
+
     @pytest.mark.parametrize("k", [-1000, -600, -520, 510, 1000])
     def test_power_of_two_scaling_over_the_exponent_range(self, k):
         # unscaled, d^2 = (x - m1)^2 goes subnormal at 2^-520, underflows to

@@ -1,7 +1,11 @@
 """Simulation, Wiener least-squares identification, MSE decomposition."""
 
 import ast
+import dataclasses
+import gc
+import pickle
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -145,7 +149,9 @@ class TestConvolve:
         # beyond its output (the frame, for simulate; nothing, for
         # mse_decomposition), each call may hold window or noise blocks but no
         # N-length copy of x, (M, N) noise draw or residual (4.8 MB each
-        # here, against a slack of 2.1 MB)
+        # here, against a slack of 2.1 MB); the split of a fitted estimate
+        # takes xi from its normal equations (sigma2_v = 0.01) or streams
+        # (sigma2_v = 0, below the guard) within the same bound
         from polysvd.sysid import WienerEstimate
 
         sys = bigsys(SeededRng(3))
@@ -158,14 +164,18 @@ class TestConvolve:
             try:
                 frame = simulate(sys, n, sigma2_v, SeededRng(3, stream=1))
                 simulate_peak = tracemalloc.get_traced_memory()[1]
-                held = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                mse_decomposition(frame, est, sys)
-                mse_peak = tracemalloc.get_traced_memory()[1] - held
+                fitted = wiener_estimate(frame, truth.order)
+                mse_peaks = []
+                for e in (est, fitted):
+                    held = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    mse_decomposition(frame, e, sys)
+                    mse_peaks.append(tracemalloc.get_traced_memory()[1] - held)
             finally:
                 tracemalloc.stop()
+            assert (fitted.fit_mse is not None) == (sigma2_v > 0), sigma2_v
             assert simulate_peak <= frame.x.nbytes + frame.y.nbytes + slack, sigma2_v
-            assert mse_peak <= slack, sigma2_v
+            assert max(mse_peaks) <= slack, sigma2_v
 
 
 class TestSimulate:
@@ -181,6 +191,12 @@ class TestSimulate:
             f = simulate(sys, n, 0.0, SeededRng(data.draw(st.integers(0, 99))))
         assert not np.any(f.y[:, :delay])
         assert np.array_equal(f.y[:, delay:], f.x[:, : n - delay])
+
+    def test_frame_is_read_only(self):
+        f = simulate(example1(), 300, 0.01, SeededRng(3))
+        assert not f.x.flags.writeable and not f.y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.y[0, 0] = 0.0
 
     def test_identity_noiseless(self):
         sys = system_from(PolyMatrix.identity(2))
@@ -515,6 +531,69 @@ class TestMseDecomposition:
         est = wiener_estimate(frame, 2)
         rep = mse_decomposition(frame, est, sys)
         assert rep.decomposition_gap / rep.xi_mse <= 0.1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_normal_equation_xi_equals_streamed_property(self, data):
+        # a fitted estimate's xi from its normal equations agrees with the
+        # streamed residual of a hand-built estimate of the same A_hat; where
+        # the guard keeps no xi the two reports are bitwise equal
+        n_src = data.draw(st.integers(1, 3), label="L")
+        n_out = data.draw(st.integers(1, 3), label="M")
+        n_taps = data.draw(st.integers(1, 4), label="taps")
+        order = n_taps - 1
+        j_hat = data.draw(st.one_of(st.integers(max(order - 2, 0), order),
+                                    st.integers(order, order + 3)), label="J_hat")
+        d = (j_hat + 1) * n_src
+        n = data.draw(st.integers(max(j_hat + d, n_taps), 3000), label="N")
+        sigma2_v = data.draw(st.sampled_from([0.0, 1e-10, 1e-4, 1e-2]), label="sigma2_v")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        a = PolyMatrix(random_complex(np.random.default_rng(seed), n_out, n_src, n_taps), 0)
+        sys = system_from(a)
+        frame = simulate(sys, n, sigma2_v, SeededRng(seed % 1000, stream=1))
+        est = wiener_estimate(frame, j_hat)
+        hand = sysid.WienerEstimate(A_hat=est.A_hat, J_hat=j_hat,
+                                    regularization=est.regularization,
+                                    condition=est.condition)
+        assert hand == est and hand.fit_mse is None
+        rep = mse_decomposition(frame, est, sys)
+        ref = mse_decomposition(frame, hand, sys)
+        if est.fit_mse is None:
+            assert rep == ref
+        else:
+            assert est.fit_mse[0]() is frame and est.fit_mse[1] == rep.xi_mse
+            assert abs(rep.xi_mse - ref.xi_mse) <= 1e-11 * ref.xi_mse
+            assert rep.error_energy == ref.error_energy
+            assert rep.noise_floor == ref.noise_floor
+        # an exact noiseless fit cancels to rounding, below the guard
+        assert est.fit_mse is None or sigma2_v > 0.0 or j_hat < order
+
+    def test_other_frame_and_copies_stream(self):
+        # the normal-equation xi belongs to the frame the estimate was fit
+        # on: another frame of the same shape, a dataclasses.replace or
+        # pickled copy and a writable frame all stream, bitwise as a
+        # hand-built estimate
+        sys = example1()
+        frame = simulate(sys, 5000, 0.01, SeededRng(16))
+        other = simulate(sys, 5000, 0.01, SeededRng(17))
+        est = wiener_estimate(frame, 2)
+        hand = sysid.WienerEstimate(A_hat=est.A_hat, J_hat=2,
+                                    regularization=est.regularization)
+        assert est.fit_mse[0]() is frame
+        assert mse_decomposition(other, est, sys) == mse_decomposition(other, hand, sys)
+        for copy in (dataclasses.replace(est), pickle.loads(pickle.dumps(est))):
+            assert copy.fit_mse is None
+            assert mse_decomposition(frame, copy, sys) == mse_decomposition(frame, hand, sys)
+        writable = SignalFrame(x=frame.x.copy(), y=frame.y.copy(), sigma2_v=0.01)
+        assert wiener_estimate(writable, 2).fit_mse is None
+
+    def test_estimate_does_not_keep_its_frame(self):
+        frame = simulate(example1(), 5000, 0.01, SeededRng(18))
+        est = wiener_estimate(frame, 2)
+        ref = weakref.ref(frame)
+        del frame
+        gc.collect()
+        assert ref() is None and est.fit_mse[0]() is None
 
 
 def _window_call_sites():
