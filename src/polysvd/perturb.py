@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import anasvd, densela
-from .polymat import PolyMatrix
+from .polymat import PolyMatrix, _integer
 from .sysgen import GroundTruthSystem, SeededRng, complex_normal
 
 _SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
@@ -52,10 +52,12 @@ class PerturbConfig:
             raise ValueError("perturbation variance must be finite")
         if level < 0:
             raise ValueError("perturbation variance must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        _integer(self.seed, "seed")
+        if self.error_order is not None:
+            _integer(self.error_order, "error_order")
+        for name in ("trials", "n_bins"):
+            if _integer(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ import numpy as np
 TRIM_TOL = 1e-12
 
 
-def _power(value) -> int:
-    """A power offset as an int; Python and numpy integers only."""
+def _integer(value, name: str = "power offset") -> int:
+    """value as an int; Python and numpy integers only."""
     try:
         return operator.index(value)
     except TypeError:
-        raise TypeError(f"power offset must be an integer, got {value!r}") from None
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class PolyMatrix:
@@ -46,7 +46,7 @@ class PolyMatrix:
             raise ValueError("non-finite coefficient")
         c.setflags(write=False)
         self._coeffs = c
-        self._n_min = _power(n_min)
+        self._n_min = _integer(n_min)
 
     # -- constructors -------------------------------------------------
 
@@ -107,6 +107,14 @@ class PolyMatrix:
             f"..z^{{{-self.n_max}}})"
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return self._n_min == other._n_min and np.array_equal(self._coeffs, other._coeffs)
+
+    def __hash__(self) -> int:  # keeps frozen records that hold one hashable
+        return hash((self._n_min, self._coeffs.shape))
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -162,7 +170,7 @@ class PolyMatrix:
 
     def shifted(self, power: int) -> "PolyMatrix":
         """Multiply by z^{-power}: same taps, offset shifted."""
-        return PolyMatrix(self._coeffs, self._n_min + _power(power))
+        return PolyMatrix(self._coeffs, self._n_min + _integer(power))
 
     def parahermitian(self) -> "PolyMatrix":
         """Parahermitian transpose A^P(z) = A^H(1/z*).

@@ -12,17 +12,16 @@ x they depend on, as overlapping read-only views of one small zero-padded,
 time-major copy of a block's segment of x.  The convolution multiplies the
 windows by a block-Toeplitz tap matrix, and the lag products are the block
 diagonals of one Gram of the windows against P time-major samples of
-[x; y] per row.  The normal equations also give the fit's in-sample MSE,
-so the MSE split of an estimate on the frame it was fit on convolves
-nothing.  Any other split streams the same convolution blocks: each has
-the matching slice of y subtracted and adds its squared norm to the
-residual sum, so no residual is stored.  One block is held at a time, so
-memory stays O((L + M) N + block), the frame plus one block.
+[x; y] per row.  A read-only frame keeps its lag products, so the MSE
+split of an estimate with taps 0..J_hat takes xi from the normal equations
+and convolves nothing.  Any other split streams the same convolution blocks:
+each has the matching slice of y subtracted and adds its squared norm to
+the residual sum, so no residual is stored.  One block is held at a time,
+so memory stays O((L + M) N + block), the frame plus one block.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,8 +46,8 @@ _BLOCK_ENTRIES = 1 << 16
 _PHASES = 8
 
 # The normal-equation MSE S_yy/C - 2 Re<A_hat, R_yx> + <A_hat R_xx, A_hat>
-# cancels: its relative error is 1-2 eps (S_yy/C)/xi, so wiener_estimate
-# keeps it only where xi >= _XI_FLOOR S_yy/C (at most 5.3e-12 over 3000
+# cancels: its relative error is 1-2 eps (S_yy/C)/xi, so mse_decomposition
+# uses it only where xi >= _XI_FLOOR S_yy/C (at most 5.3e-12 over 3000
 # random small fits); a noiseless exact fit reads about -1e-15 and streams
 _XI_FLOOR = 1e-4
 
@@ -60,8 +59,13 @@ class SignalFrame:
     x: np.ndarray  # (L, N) unit-variance uncorrelated sources
     y: np.ndarray  # (M, N) outputs with additive noise
     sigma2_v: float
+    # J_hat -> (R_xx, R_yx, S_yy/C) of _stacked_correlations, while read-only
+    _lags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.x.ndim != 2 or self.y.ndim != 2:
+            raise ValueError(f"x and y must be 2-D, got {self.x.ndim}-D and "
+                             f"{self.y.ndim}-D")
         if self.x.shape[1] != self.y.shape[1]:
             raise ValueError(f"x holds {self.x.shape[1]} samples but y holds "
                              f"{self.y.shape[1]}")
@@ -77,24 +81,15 @@ class WienerEstimate:
 
     condition is lambda_max / lambda_min of the regularized normal matrix
     R_xx + regularization I (inf if it is not positive definite), or None
-    for an estimate that did not come from the normal equations.
-
-    fit_mse is (weak reference to the frame, xi_MSE on it) when
-    wiener_estimate could take xi from its normal equations, else None.
-    It is not an argument: a hand-built estimate, a dataclasses.replace
-    copy or a pickled one has none, so mse_decomposition streams its
-    residual.  The weak reference keeps no frame alive.
+    for an estimate that did not come from the normal equations.  It holds
+    no frame: a hand-built, copied or pickled equal estimate splits its MSE
+    bitwise as the fitted one does.
     """
 
     A_hat: PolyMatrix
     J_hat: int
     regularization: float
     condition: Optional[float] = None
-    fit_mse: Optional[tuple] = field(default=None, init=False, compare=False,
-                                     repr=False)
-
-    def __getstate__(self):
-        return {**self.__dict__, "fit_mse": None}  # a weakref does not pickle
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,7 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     into y in row-major blocks of _BLOCK_ENTRIES samples, so it takes no
     temporary as large as y and equals one (M, N) draw bit for bit.
     Requires n_samples to exceed the system order.  The frame's x and y
-    are read-only, so an estimate fit on it can keep its xi_MSE.
+    are read-only, so the frame can keep its lag products.
     """
     if not 0.0 <= sigma2_v < np.inf:
         raise ValueError(f"sigma2_v = {sigma2_v} must be finite and >= 0")
@@ -207,16 +202,18 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
 
 
 def _stacked_correlations(frame: SignalFrame, j_hat: int):
-    """Sample R_xx and R_yx over regressors [x[n]; ...; x[n - J]], n >= J.
+    """Sample R_xx, R_yx over regressors [x[n]; ...; x[n - J]], and S_yy/C.
 
     The first j_hat samples (filter transient) are excluded, so the sums run
-    over count = N - J regressors.  The first block row of R_xx and all of
-    R_yx are the J + 1 lag products sum_n [x[n]; y[n]] x[n - j]^H.  Per
-    window block (back = J, from n = J on), row g of Z_blk holds
-    conj([x; y]) at the P samples n = J + g P + p of polyphase group g,
-    time-major, and Z_blk^T win accumulates one (P (L + M)) x ((P + J) L)
-    Gram.  Lag j is the sum of its P blocks (p, p + J - j), conjugated once
-    at the end, so no conjugated or concatenated copy of the frame is made.
+    over C = count = N - J regressors; S_yy sums ||y[n]||^2 row by row.  A
+    read-only frame keeps the three in _lags for mse_decomposition.  The
+    first block row of R_xx and all of R_yx are the J + 1 lag products
+    sum_n [x[n]; y[n]] x[n - j]^H.  Per window block (back = J, from n = J
+    on), row g of Z_blk holds conj([x; y]) at the P samples n = J + g P + p
+    of polyphase group g, time-major, and Z_blk^T win accumulates one
+    (P (L + M)) x ((P + J) L) Gram.  Lag j is the sum of its P blocks
+    (p, p + J - j), conjugated once at the end, so no conjugated or
+    concatenated copy of the frame is made.
     Shifting the sum by one sample gives the exact edge recursion
 
         R[i, j] = R[i-1, j-1] + x[J-i] x[J-j]^H - x[N-i] x[N-j]^H,
@@ -269,7 +266,12 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
                        + head[:, :1, None] * head.conj().T
                        - tail[:, :1, None] * tail.conj().T)
         r[i, :, :i] = r[:i, :, i].conj().transpose(2, 0, 1)
-    return r.reshape(d, d) / count, r_yx / count
+    with np.errstate(all="ignore"):  # mse_decomposition streams a non-finite xi
+        s_yy = sum(np.vdot(row, row).real for row in y[:, j_hat:])
+        lags = (r.reshape(d, d) / count, r_yx / count, float(s_yy / count))
+    if not (x.flags.writeable or y.flags.writeable):
+        frame._lags[j_hat] = lags
+    return lags
 
 
 def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> WienerEstimate:
@@ -282,57 +284,34 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     unregularized and raises numpy.linalg's LinAlgError on rank-deficient
     data.  Raises ValueError when the record holds fewer than D
     post-transient samples (N - J_hat < D).  The estimate carries the
-    condition number of R_xx + reg I, from its eigenvalues.
-
-    fit_mse holds the in-sample xi_MSE over n = J_hat..N-1 from the
-    unregularized R_xx and R_yx, with C = N - J_hat and S_yy the sum of
-    ||y[n]||^2 over contiguous rows of y:
-
-        xi = S_yy/C - 2 Re<A_hat, R_yx> + Re<A_hat R_xx, A_hat>.
-
-    It is kept only for read-only x and y, finite S_yy and xi, and
-    xi >= _XI_FLOOR S_yy/C, since the form cancels.
+    condition number of R_xx + reg I, from its eigenvalues; it forms no
+    xi_MSE (mse_decomposition does).
     """
     if j_hat < 0:
         raise ValueError("j_hat must be >= 0")
-    n_src = frame.x.shape[0]
-    r_xx, r_yx = _stacked_correlations(frame, j_hat)
-    d = (j_hat + 1) * n_src
+    r_xx, r_yx, _ = _stacked_correlations(frame, j_hat)
+    d = r_xx.shape[0]
     if reg is None:
         reg = 1e-10 * float(np.real(np.trace(r_xx))) / d
-    diag = r_xx.diagonal().copy()
-    r_xx.flat[:: d + 1] += reg  # R_xx + reg I, in place
+    r_xx = r_xx.copy()
+    r_xx.flat[:: d + 1] += reg  # R_xx + reg I
     lam = np.linalg.eigvalsh(r_xx)
     condition = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
     # R_xx + reg I is Hermitian, so solving its transpose for R_yx^T
     # gives A_hat^T
     a_flat = np.linalg.solve(r_xx.T, r_yx.T).T
-    r_xx.flat[:: d + 1] = diag
-    taps = a_flat.reshape(r_yx.shape[0], j_hat + 1, n_src)
-    est = WienerEstimate(
+    taps = a_flat.reshape(r_yx.shape[0], j_hat + 1, frame.x.shape[0])
+    return WienerEstimate(
         A_hat=PolyMatrix(np.moveaxis(taps, 1, 2), 0),
         J_hat=j_hat,
         regularization=float(reg),
         condition=condition,
     )
-    count = frame.n_samples - j_hat
-    with np.errstate(all="ignore"):  # a non-finite xi is not kept
-        s_yy = sum(np.vdot(row, row).real for row in frame.y[:, j_hat:])
-        xi = float(s_yy / count - 2.0 * np.vdot(a_flat, r_yx).real
-                   + np.vdot(a_flat, a_flat @ r_xx).real)
-    if (not (frame.x.flags.writeable or frame.y.flags.writeable)
-            and np.isfinite(s_yy) and np.isfinite(xi)
-            and xi >= _XI_FLOOR * s_yy / count):
-        object.__setattr__(est, "fit_mse", (weakref.ref(frame), xi))
-    return est
 
 
 def error_system(est: WienerEstimate, sys: GroundTruthSystem) -> PolyMatrix:
     """E[n] = A_hat[n] - A[n], both aligned to the same causal delay."""
-    a_causal, _ = causal_version(sys.A)
-    if (est.A_hat.rows, est.A_hat.cols) != (a_causal.rows, a_causal.cols):
-        raise ValueError("estimate and system dimensions disagree")
-    return est.A_hat - a_causal
+    return est.A_hat - causal_version(sys.A)[0]
 
 
 def mse_decomposition(
@@ -342,29 +321,37 @@ def mse_decomposition(
 
     xi_mse averages ||(A_hat * x)[n] - y[n]||^2 over the post-transient
     samples n = J_hat..N-1, with zero initial state; the gap term reports
-    the absolute mismatch of the decomposition.  An estimate that
-    wiener_estimate fit on this very frame brings xi from its normal
-    equations (WienerEstimate.fit_mse, within ~5e-12 relative).  Otherwise
-    the residual is summed one convolution block at a time: each block of
-    A_hat * x has the matching time-major slice of y subtracted in place
-    and adds its squared norm, so no N-length array is made.  Raises
-    ValueError when J_hat is outside 0..N-1 or A_hat does not map the
-    frame's sources to its outputs.
+    the absolute mismatch of the decomposition.  If the frame is still
+    read-only and keeps lag products at J_hat (from wiener_estimate) and
+    A_hat has taps 0..J_hat, xi is S_yy/C - 2 Re<A_hat, R_yx> +
+    Re<A_hat R_xx, A_hat> where that is finite and >= _XI_FLOOR S_yy/C
+    (within ~5e-12 of the residual).  Otherwise the residual is summed one
+    convolution block at a time: each block of A_hat * x has the matching
+    time-major slice of y subtracted in place and adds its squared norm, so
+    no N-length array is made.  Equal estimates, copies included, give
+    equal reports.  Raises ValueError when J_hat is outside 0..N-1 or A_hat
+    does not map the frame's sources to its outputs.
     """
-    x, y, n, j_hat = frame.x, frame.y, frame.n_samples, est.J_hat
+    x, y, n, j_hat, a = frame.x, frame.y, frame.n_samples, est.J_hat, est.A_hat
     if not 0 <= j_hat < n:
         raise ValueError(f"J_hat = {j_hat} must lie in 0..{n - 1} for "
                          f"n_samples = {n}")
-    if (est.A_hat.rows, est.A_hat.cols) != (y.shape[0], x.shape[0]):
-        raise ValueError(f"A_hat is {est.A_hat.rows}x{est.A_hat.cols} but the "
+    if (a.rows, a.cols) != (y.shape[0], x.shape[0]):
+        raise ValueError(f"A_hat is {a.rows}x{a.cols} but the "
                          f"frame has {y.shape[0]} outputs and {x.shape[0]} sources")
-    if est.fit_mse is not None and est.fit_mse[0]() is frame:
-        xi = est.fit_mse[1]
-    else:
+    xi = s_yy = np.nan
+    if (not (x.flags.writeable or y.flags.writeable) and j_hat in frame._lags
+            and (a.n_min, a.n_taps) == (0, j_hat + 1)):
+        r_xx, r_yx, s_yy = frame._lags[j_hat]  # S_yy/C
+        a_flat = np.moveaxis(a.coeffs, 2, 1).reshape(a.rows, -1)
+        with np.errstate(all="ignore"):  # a non-finite xi streams
+            xi = float(s_yy - 2.0 * np.vdot(a_flat, r_yx).real
+                       + np.vdot(a_flat, a_flat @ r_xx).real)
+    if not (np.isfinite(xi) and xi >= _XI_FLOOR * s_yy):
         # before n_min the estimate outputs zero, so the residual is -y there
-        head = y[:, j_hat : max(j_hat, est.A_hat.n_min)]
+        head = y[:, j_hat : max(j_hat, a.n_min)]
         sq_sum = np.vdot(head, head).real
-        for n0, n1, out in _convolved_blocks(est.A_hat, x):
+        for n0, n1, out in _convolved_blocks(a, x):
             lo = max(n0, j_hat)
             if lo < n1:
                 resid = out[lo - n0 :]

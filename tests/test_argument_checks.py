@@ -54,6 +54,10 @@ CASES = [
     ("assemble-sigma-shape", lambda: assemble(EX1.U, (EX1.A, SCALAR), EX1.V),
      "sigma 0 must be 1x1"),
     ("wiener_estimate-j_hat", lambda: wiener_estimate(FRAME, -1), "j_hat must be >= 0"),
+    ("SignalFrame-1d", lambda: SignalFrame(x=np.zeros(5), y=np.zeros(5), sigma2_v=0.0),
+     "x and y must be 2-D, got 1-D and 1-D"),
+    ("SignalFrame-3d-y", lambda: SignalFrame(np.zeros((2, 5)), np.zeros((2, 5, 1)), 0.0),
+     "x and y must be 2-D, got 2-D and 3-D"),
 ]
 
 

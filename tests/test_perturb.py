@@ -139,6 +139,19 @@ class TestPerturbConfig:
         with pytest.raises(ValueError, match="n_bins"):
             PerturbConfig(n_bins=0, sigma2_e=1e-4)
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 2.5), ("trials", 2.0), ("n_bins", "256"), ("seed", 0.5),
+        ("seed", None), ("error_order", 1.0),
+    ])
+    def test_counts_are_integers(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            PerturbConfig(sigma2_e=1e-3, **{name: value})
+
+    def test_numpy_integer_counts(self):
+        cfg = PerturbConfig(trials=np.int64(2), n_bins=np.int32(8), seed=np.uint8(3),
+                            error_order=np.int64(1), sigma2_e=1e-3)
+        assert cfg.trials == 2 and cfg.error_order == 1
+
     @pytest.mark.parametrize("level", [float("nan"), float("inf")])
     @pytest.mark.parametrize("kind", ["sigma2_e", "sigma2_norm"])
     def test_level_finite(self, kind, level):

@@ -87,6 +87,27 @@ class TestConstruction:
         assert np.allclose(a.coeffs[:, :, -1 - a.n_min], EX1_TAP_P1)
 
 
+class TestEquality:
+    def test_equal_by_offset_and_coefficients(self):
+        a = random_polymat(2, 3, 4, -2)
+        b = PolyMatrix(a.coeffs.copy(), -2)
+        assert a == b and hash(a) == hash(b)
+        assert PolyMatrix(np.ones((1, 1, 1))) == PolyMatrix(np.ones((1, 1, 1)))
+
+    def test_other_offset_or_coefficients_differ(self):
+        a = random_polymat(2, 3, 4, -2)
+        assert a != a.shifted(1)
+        c = a.coeffs.copy()
+        c[1, 2, 3] = np.nextafter(c[1, 2, 3].real, np.inf) + 1j * c[1, 2, 3].imag
+        assert a != PolyMatrix(c, -2)
+        assert a != PolyMatrix(a.coeffs[:, :, :3], -2)
+
+    def test_other_types_are_not_implemented(self):
+        a = PolyMatrix(np.ones((1, 1, 1)))
+        assert a.__eq__(a.coeffs) is NotImplemented
+        assert a != 1.0 and a != "a"
+
+
 class TestAdd:
     def test_identity_case(self):
         a = ex1_matrix()

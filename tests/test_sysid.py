@@ -63,6 +63,26 @@ def small_budget(data):
 
 
 @contextmanager
+def counted_convolutions():
+    """Record each estimate that sysid convolves with a record, so a test
+    sees whether mse_decomposition streamed its residual."""
+    calls = []
+    real = sysid._convolved_blocks
+
+    def spy(a, x):
+        calls.append(a)
+        return real(a, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysid, "_convolved_blocks", spy)
+        yield calls
+
+
+def writable_copy(frame):
+    return SignalFrame(x=frame.x.copy(), y=frame.y.copy(), sigma2_v=frame.sigma2_v)
+
+
+@contextmanager
 def drawn_phases(data):
     """Set the samples per polyphase group to a drawn count, so groups
     straddle the block and record edges in every alignment."""
@@ -150,7 +170,7 @@ class TestConvolve:
         # mse_decomposition), each call may hold window or noise blocks but no
         # N-length copy of x, (M, N) noise draw or residual (4.8 MB each
         # here, against a slack of 2.1 MB); the split of a fitted estimate
-        # takes xi from its normal equations (sigma2_v = 0.01) or streams
+        # takes xi from the frame's lag products (sigma2_v = 0.01) or streams
         # (sigma2_v = 0, below the guard) within the same bound
         from polysvd.sysid import WienerEstimate
 
@@ -169,11 +189,12 @@ class TestConvolve:
                 for e in (est, fitted):
                     held = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    mse_decomposition(frame, e, sys)
+                    with counted_convolutions() as calls:
+                        mse_decomposition(frame, e, sys)
                     mse_peaks.append(tracemalloc.get_traced_memory()[1] - held)
             finally:
                 tracemalloc.stop()
-            assert (fitted.fit_mse is not None) == (sigma2_v > 0), sigma2_v
+            assert (calls == []) == (sigma2_v > 0), sigma2_v
             assert simulate_peak <= frame.x.nbytes + frame.y.nbytes + slack, sigma2_v
             assert max(mse_peaks) <= slack, sigma2_v
 
@@ -296,7 +317,7 @@ class TestStackedCorrelations:
         y = sy * (rng.standard_normal((n_out, n)) + 1j * rng.standard_normal((n_out, n)))
         frame = SignalFrame(x=x, y=y, sigma2_v=0.0)
         with small_budget(data), drawn_phases(data):
-            r_xx, r_yx = _stacked_correlations(frame, j_hat)
+            r_xx, r_yx, _ = _stacked_correlations(frame, j_hat)
         ref_xx, ref_yx = stacked_gram(frame, j_hat)
         ax, ay = np.abs(x).max(), np.abs(y).max()
         bound = 1e-13 * (1.0 + ax * max(ax, ay))
@@ -308,7 +329,7 @@ class TestStackedCorrelations:
         sys = bigsys(SeededRng(1))
         frame = simulate(sys, 5000, 0.01, SeededRng(1, stream=1))
         j_hat = causal_version(sys.A)[0].order
-        r_xx, r_yx = _stacked_correlations(frame, j_hat)
+        r_xx, r_yx, _ = _stacked_correlations(frame, j_hat)
         ref_xx, ref_yx = stacked_gram(frame, j_hat)
         assert np.abs(r_xx - ref_xx).max() <= 1e-14
         assert np.abs(r_yx - ref_yx).max() <= 1e-14
@@ -535,9 +556,10 @@ class TestMseDecomposition:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_normal_equation_xi_equals_streamed_property(self, data):
-        # a fitted estimate's xi from its normal equations agrees with the
-        # streamed residual of a hand-built estimate of the same A_hat; where
-        # the guard keeps no xi the two reports are bitwise equal
+        # on the frame it was fit on, an estimate's xi from the frame's lag
+        # products agrees with the streamed residual of the same estimate on
+        # a writable copy of the frame; where the guard rejects the form the
+        # two reports are bitwise equal
         n_src = data.draw(st.integers(1, 3), label="L")
         n_out = data.draw(st.integers(1, 3), label="M")
         n_taps = data.draw(st.integers(1, 4), label="taps")
@@ -552,40 +574,65 @@ class TestMseDecomposition:
         sys = system_from(a)
         frame = simulate(sys, n, sigma2_v, SeededRng(seed % 1000, stream=1))
         est = wiener_estimate(frame, j_hat)
-        hand = sysid.WienerEstimate(A_hat=est.A_hat, J_hat=j_hat,
-                                    regularization=est.regularization,
-                                    condition=est.condition)
-        assert hand == est and hand.fit_mse is None
-        rep = mse_decomposition(frame, est, sys)
-        ref = mse_decomposition(frame, hand, sys)
-        if est.fit_mse is None:
+        with counted_convolutions() as calls:
+            rep = mse_decomposition(frame, est, sys)
+        ref = mse_decomposition(writable_copy(frame), est, sys)
+        if calls:
             assert rep == ref
         else:
-            assert est.fit_mse[0]() is frame and est.fit_mse[1] == rep.xi_mse
             assert abs(rep.xi_mse - ref.xi_mse) <= 1e-11 * ref.xi_mse
             assert rep.error_energy == ref.error_energy
             assert rep.noise_floor == ref.noise_floor
         # an exact noiseless fit cancels to rounding, below the guard
-        assert est.fit_mse is None or sigma2_v > 0.0 or j_hat < order
+        assert calls or sigma2_v > 0.0 or j_hat < order
 
-    def test_other_frame_and_copies_stream(self):
-        # the normal-equation xi belongs to the frame the estimate was fit
-        # on: another frame of the same shape, a dataclasses.replace or
-        # pickled copy and a writable frame all stream, bitwise as a
-        # hand-built estimate
+    def test_copies_of_an_estimate_report_as_it_does(self):
+        # the report depends on the frame and the estimate's fields alone: a
+        # hand-built, replaced or pickled copy takes the same xi from the
+        # frame's lag products, bitwise
+        sys = example1()
+        frame = simulate(sys, 5000, 0.01, SeededRng(16))
+        est = wiener_estimate(frame, 2)
+        hand = sysid.WienerEstimate(A_hat=PolyMatrix(est.A_hat.coeffs), J_hat=2,
+                                    regularization=est.regularization,
+                                    condition=est.condition)
+        with counted_convolutions() as calls:
+            rep = mse_decomposition(frame, est, sys)
+            for copy in (hand, dataclasses.replace(est), pickle.loads(pickle.dumps(est))):
+                assert copy == est and hash(copy) == hash(est)
+                assert mse_decomposition(frame, copy, sys) == rep
+        assert calls == []
+
+    def test_other_frame_streams_and_copies_agree(self):
+        # the lag products belong to the frame: another frame of the same
+        # shape, a writable frame and an unpickled frame (writable arrays,
+        # its lag products carried along) stream, bitwise as each other
         sys = example1()
         frame = simulate(sys, 5000, 0.01, SeededRng(16))
         other = simulate(sys, 5000, 0.01, SeededRng(17))
         est = wiener_estimate(frame, 2)
-        hand = sysid.WienerEstimate(A_hat=est.A_hat, J_hat=2,
-                                    regularization=est.regularization)
-        assert est.fit_mse[0]() is frame
-        assert mse_decomposition(other, est, sys) == mse_decomposition(other, hand, sys)
-        for copy in (dataclasses.replace(est), pickle.loads(pickle.dumps(est))):
-            assert copy.fit_mse is None
-            assert mse_decomposition(frame, copy, sys) == mse_decomposition(frame, hand, sys)
-        writable = SignalFrame(x=frame.x.copy(), y=frame.y.copy(), sigma2_v=0.01)
-        assert wiener_estimate(writable, 2).fit_mse is None
+        writable = writable_copy(frame)
+        unpickled = pickle.loads(pickle.dumps(frame))
+        assert 2 in frame._lags and 2 in unpickled._lags and unpickled.y.flags.writeable
+        with counted_convolutions() as calls:
+            mse_decomposition(other, est, sys)
+            streamed = mse_decomposition(writable, est, sys)
+            assert mse_decomposition(unpickled, est, sys) == streamed
+        assert len(calls) == 3
+        assert wiener_estimate(writable, 2) == est and writable._lags == {}
+
+    def test_only_a_fit_shaped_estimate_takes_the_form(self):
+        # taps other than 0..J_hat stream even where the frame keeps lags at
+        # J_hat; they are not the regressors the lag products were taken over
+        sys = example1()
+        frame = simulate(sys, 5000, 0.01, SeededRng(19))
+        coeffs = wiener_estimate(frame, 2).A_hat.coeffs
+        for a_hat in (PolyMatrix(coeffs, 1), PolyMatrix(coeffs[:, :, :2])):
+            est = sysid.WienerEstimate(A_hat=a_hat, J_hat=2, regularization=0.0)
+            with counted_convolutions() as calls:
+                rep = mse_decomposition(frame, est, sys)
+            assert len(calls) == 1
+            assert rep == mse_decomposition(writable_copy(frame), est, sys)
 
     def test_estimate_does_not_keep_its_frame(self):
         frame = simulate(example1(), 5000, 0.01, SeededRng(18))
@@ -593,7 +640,7 @@ class TestMseDecomposition:
         ref = weakref.ref(frame)
         del frame
         gc.collect()
-        assert ref() is None and est.fit_mse[0]() is None
+        assert ref() is None and est.J_hat == 2
 
 
 def _window_call_sites():
