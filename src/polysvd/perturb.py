@@ -52,9 +52,10 @@ class PerturbConfig:
             raise ValueError("perturbation variance must be finite")
         if level < 0:
             raise ValueError("perturbation variance must be >= 0")
-        _integer(self.seed, "seed")
-        if self.error_order is not None:
-            _integer(self.error_order, "error_order")
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError("seed must be >= 0")
+        if self.error_order is not None and _integer(self.error_order, "error_order") < 0:
+            raise ValueError("error_order must be >= 0")
         for name in ("trials", "n_bins"):
             if _integer(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1")

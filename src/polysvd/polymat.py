@@ -115,6 +115,9 @@ class PolyMatrix:
     def __hash__(self) -> int:  # keeps frozen records that hold one hashable
         return hash((self._n_min, self._coeffs.shape))
 
+    def __reduce__(self):  # through __init__, so a copy is read-only too
+        return PolyMatrix, (self._coeffs, self._n_min)
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":

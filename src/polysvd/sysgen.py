@@ -47,12 +47,15 @@ def complex_normal(rng, shape, sigma2: float = 1.0) -> np.ndarray:
     """CN(0, sigma2) draws: real and imaginary parts i.i.d. N(0, sigma2/2).
 
     One standard_normal call with a trailing axis of size 2 fixes the draw
-    order, so batched and per-element generation consume the stream alike;
-    each (real, imaginary) pair is viewed as one complex128 and scaled in
-    place, so the draws take no memory beyond the normals themselves.
+    order, so batched and per-element generation consume the stream alike.
+    The normals are drawn straight into the (real, imaginary) pairs of a
+    new complex128 array and scaled in place, so the result owns its data
+    and takes no memory beyond the normals themselves.
     """
     g = as_generator(rng)
-    z = g.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    shape = tuple(shape)
+    z = np.empty(shape, dtype=np.complex128)
+    g.standard_normal(out=z.view(np.float64).reshape(shape + (2,)))
     z *= np.sqrt(sigma2 / 2.0)
     return z
 

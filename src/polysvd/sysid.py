@@ -12,9 +12,10 @@ x they depend on, as overlapping read-only views of one small zero-padded,
 time-major copy of a block's segment of x.  The convolution multiplies the
 windows by a block-Toeplitz tap matrix, and the lag products are the block
 diagonals of one Gram of the windows against P time-major samples of
-[x; y] per row.  A read-only frame keeps its lag products, so the MSE
-split of an estimate with taps 0..J_hat takes xi from the normal equations
-and convolves nothing.  Any other split streams the same convolution blocks:
+[x; y] per row.  A frame owns its read-only x and y and keeps the lag
+products of each fit, so the MSE split of an estimate with taps 0..J_hat
+on the frame it was fit on takes xi from the normal equations and
+convolves nothing.  Any other split streams the same convolution blocks:
 each has the matching slice of y subtracted and adds its squared norm to
 the residual sum, so no residual is stored.  One block is held at a time,
 so memory stays O((L + M) N + block), the frame plus one block.
@@ -52,15 +53,25 @@ _PHASES = 8
 _XI_FLOOR = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalFrame:
-    """One simulated input/output record; x and y hold the same N samples."""
+    """One input/output record; x and y hold the same N samples.
+
+    The frame owns x and y, so the lag products it keeps cannot go stale:
+    once the arguments pass their checks, an array that owns its data is
+    made read-only in place, and a view, whose base may still be written,
+    is replaced by a read-only copy.  A refused frame leaves the caller's
+    arrays as they were.  A writable view the caller took of an owned
+    array beforehand still writes through it, so keep none.  Frames
+    compare by identity; pickling and copying rebuild a frame through the
+    constructor, without lag products.
+    """
 
     x: np.ndarray  # (L, N) unit-variance uncorrelated sources
     y: np.ndarray  # (M, N) outputs with additive noise
     sigma2_v: float
-    # J_hat -> (R_xx, R_yx, S_yy/C) of _stacked_correlations, while read-only
-    _lags: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # J_hat -> (R_xx, R_yx, S_yy/C) of _stacked_correlations
+    _lags: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.x.ndim != 2 or self.y.ndim != 2:
@@ -69,6 +80,17 @@ class SignalFrame:
         if self.x.shape[1] != self.y.shape[1]:
             raise ValueError(f"x holds {self.x.shape[1]} samples but y holds "
                              f"{self.y.shape[1]}")
+        if not 0.0 <= self.sigma2_v < np.inf:
+            raise ValueError(f"sigma2_v = {self.sigma2_v} must be finite and >= 0")
+        for name in ("x", "y"):
+            a = getattr(self, name)
+            if not a.flags.owndata:
+                a = a.copy()
+                object.__setattr__(self, name, a)
+            a.flags.writeable = False
+
+    def __reduce__(self):
+        return SignalFrame, (self.x, self.y, self.sigma2_v)
 
     @property
     def n_samples(self) -> int:
@@ -180,11 +202,10 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     Additive noise is spatially and temporally white CN(0, sigma2_v), drawn
     into y in row-major blocks of _BLOCK_ENTRIES samples, so it takes no
     temporary as large as y and equals one (M, N) draw bit for bit.
-    Requires n_samples to exceed the system order.  The frame's x and y
-    are read-only, so the frame can keep its lag products.
+    Requires n_samples to exceed the system order; the frame refuses a
+    sigma2_v that is negative, NaN or infinite.  x and y own their data,
+    so the frame takes them over without a copy.
     """
-    if not 0.0 <= sigma2_v < np.inf:
-        raise ValueError(f"sigma2_v = {sigma2_v} must be finite and >= 0")
     a_causal, _ = causal_version(sys.A)
     if n_samples <= a_causal.order:
         raise ValueError(f"n_samples = {n_samples} must exceed the system "
@@ -197,7 +218,6 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
         for i in range(0, flat.size, _BLOCK_ENTRIES):
             blk = flat[i : i + _BLOCK_ENTRIES]
             blk += complex_normal(g, blk.shape, sigma2_v)
-    x.flags.writeable = y.flags.writeable = False
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v))
 
 
@@ -205,8 +225,8 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
     """Sample R_xx, R_yx over regressors [x[n]; ...; x[n - J]], and S_yy/C.
 
     The first j_hat samples (filter transient) are excluded, so the sums run
-    over C = count = N - J regressors; S_yy sums ||y[n]||^2 row by row.  A
-    read-only frame keeps the three in _lags for mse_decomposition.  The
+    over C = count = N - J regressors; S_yy sums ||y[n]||^2 row by row.
+    The frame keeps the three in _lags for mse_decomposition.  The
     first block row of R_xx and all of R_yx are the J + 1 lag products
     sum_n [x[n]; y[n]] x[n - j]^H.  Per window block (back = J, from n = J
     on), row g of Z_blk holds conj([x; y]) at the P samples n = J + g P + p
@@ -269,8 +289,7 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
     with np.errstate(all="ignore"):  # mse_decomposition streams a non-finite xi
         s_yy = sum(np.vdot(row, row).real for row in y[:, j_hat:])
         lags = (r.reshape(d, d) / count, r_yx / count, float(s_yy / count))
-    if not (x.flags.writeable or y.flags.writeable):
-        frame._lags[j_hat] = lags
+    frame._lags[j_hat] = lags
     return lags
 
 
@@ -282,13 +301,15 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     _stacked_correlations.  reg = None applies the numerical floor
     1e-10 tr(R_xx)/D (D the stacked dimension); reg = 0 solves
     unregularized and raises numpy.linalg's LinAlgError on rank-deficient
-    data.  Raises ValueError when the record holds fewer than D
-    post-transient samples (N - J_hat < D).  The estimate carries the
-    condition number of R_xx + reg I, from its eigenvalues; it forms no
-    xi_MSE (mse_decomposition does).
+    data.  Raises ValueError for a negative, NaN or infinite reg, and when
+    the record holds fewer than D post-transient samples (N - J_hat < D).
+    The estimate carries the condition number of R_xx + reg I, from its
+    eigenvalues; it forms no xi_MSE (mse_decomposition does).
     """
     if j_hat < 0:
         raise ValueError("j_hat must be >= 0")
+    if reg is not None and not 0.0 <= reg < np.inf:
+        raise ValueError(f"reg = {reg} must be finite and >= 0")
     r_xx, r_yx, _ = _stacked_correlations(frame, j_hat)
     d = r_xx.shape[0]
     if reg is None:
@@ -321,16 +342,18 @@ def mse_decomposition(
 
     xi_mse averages ||(A_hat * x)[n] - y[n]||^2 over the post-transient
     samples n = J_hat..N-1, with zero initial state; the gap term reports
-    the absolute mismatch of the decomposition.  If the frame is still
-    read-only and keeps lag products at J_hat (from wiener_estimate) and
-    A_hat has taps 0..J_hat, xi is S_yy/C - 2 Re<A_hat, R_yx> +
+    the absolute mismatch of the decomposition.  If the frame keeps lag
+    products at J_hat (it was fit there by wiener_estimate) and A_hat has
+    taps 0..J_hat, xi is S_yy/C - 2 Re<A_hat, R_yx> +
     Re<A_hat R_xx, A_hat> where that is finite and >= _XI_FLOOR S_yy/C
     (within ~5e-12 of the residual).  Otherwise the residual is summed one
     convolution block at a time: each block of A_hat * x has the matching
     time-major slice of y subtracted in place and adds its squared norm, so
-    no N-length array is made.  Equal estimates, copies included, give
-    equal reports.  Raises ValueError when J_hat is outside 0..N-1 or A_hat
-    does not map the frame's sources to its outputs.
+    no N-length array is made.  The report depends on the frame, whether
+    it was fit at J_hat, and the estimate's fields, so equal estimates,
+    copies included, give equal reports.  Raises ValueError when J_hat is
+    outside 0..N-1 or A_hat does not map the frame's sources to its
+    outputs.
     """
     x, y, n, j_hat, a = frame.x, frame.y, frame.n_samples, est.J_hat, est.A_hat
     if not 0 <= j_hat < n:
@@ -340,8 +363,7 @@ def mse_decomposition(
         raise ValueError(f"A_hat is {a.rows}x{a.cols} but the "
                          f"frame has {y.shape[0]} outputs and {x.shape[0]} sources")
     xi = s_yy = np.nan
-    if (not (x.flags.writeable or y.flags.writeable) and j_hat in frame._lags
-            and (a.n_min, a.n_taps) == (0, j_hat + 1)):
+    if j_hat in frame._lags and (a.n_min, a.n_taps) == (0, j_hat + 1):
         r_xx, r_yx, s_yy = frame._lags[j_hat]  # S_yy/C
         a_flat = np.moveaxis(a.coeffs, 2, 1).reshape(a.rows, -1)
         with np.errstate(all="ignore"):  # a non-finite xi streams

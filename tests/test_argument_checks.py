@@ -27,6 +27,10 @@ FRAME = SignalFrame(np.zeros((2, 10)), np.zeros((2, 10)), 0.0)
 CASES = [
     ("PerturbConfig-level", lambda: PerturbConfig(sigma2_norm=-1e-4),
      "perturbation variance must be >= 0"),
+    ("PerturbConfig-seed", lambda: PerturbConfig(seed=-1, sigma2_e=1e-4),
+     "seed must be >= 0"),
+    ("PerturbConfig-error_order", lambda: PerturbConfig(error_order=-1, sigma2_e=1e-4),
+     "error_order must be >= 0"),
     ("random_error-sigma2_e", lambda: random_error(2, 2, 1, -1.0, RNG),
      "sigma2_e must be >= 0"),
     ("random_error-order", lambda: random_error(2, 2, -1, 1.0, RNG),
@@ -54,10 +58,23 @@ CASES = [
     ("assemble-sigma-shape", lambda: assemble(EX1.U, (EX1.A, SCALAR), EX1.V),
      "sigma 0 must be 1x1"),
     ("wiener_estimate-j_hat", lambda: wiener_estimate(FRAME, -1), "j_hat must be >= 0"),
+    ("wiener_estimate-reg-nan", lambda: wiener_estimate(FRAME, 0, reg=np.nan),
+     "reg = nan must be finite and >= 0"),
+    ("wiener_estimate-reg-inf", lambda: wiener_estimate(FRAME, 0, reg=np.inf),
+     "reg = inf must be finite and >= 0"),
+    ("wiener_estimate-reg-negative", lambda: wiener_estimate(FRAME, 0, reg=-1.0),
+     "reg = -1.0 must be finite and >= 0"),
     ("SignalFrame-1d", lambda: SignalFrame(x=np.zeros(5), y=np.zeros(5), sigma2_v=0.0),
      "x and y must be 2-D, got 1-D and 1-D"),
     ("SignalFrame-3d-y", lambda: SignalFrame(np.zeros((2, 5)), np.zeros((2, 5, 1)), 0.0),
      "x and y must be 2-D, got 2-D and 3-D"),
+    ("SignalFrame-sigma2_v-nan", lambda: SignalFrame(np.zeros((2, 5)), np.zeros((2, 5)), np.nan),
+     "sigma2_v = nan must be finite and >= 0"),
+    ("SignalFrame-sigma2_v-inf", lambda: SignalFrame(np.zeros((2, 5)), np.zeros((2, 5)), np.inf),
+     "sigma2_v = inf must be finite and >= 0"),
+    ("SignalFrame-sigma2_v-negative",
+     lambda: SignalFrame(np.zeros((2, 5)), np.zeros((2, 5)), -0.5),
+     "sigma2_v = -0.5 must be finite and >= 0"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Laurent polynomial matrix core: arithmetic, evaluation, predicates."""
 
 import ast
+import copy
+import pickle
 import re
 from pathlib import Path
 
@@ -106,6 +108,12 @@ class TestEquality:
         a = PolyMatrix(np.ones((1, 1, 1)))
         assert a.__eq__(a.coeffs) is NotImplemented
         assert a != 1.0 and a != "a"
+
+    def test_pickled_and_copied_stay_equal_and_read_only(self):
+        a = random_polymat(2, 3, 4, -2)
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert b == a and hash(b) == hash(a)
+            assert not b.coeffs.flags.writeable
 
 
 class TestAdd:

@@ -7,6 +7,7 @@ import pickle
 import tracemalloc
 import weakref
 from contextlib import contextmanager
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,9 @@ def counted_convolutions():
         yield calls
 
 
-def writable_copy(frame):
+def unfit_copy(frame):
+    """A new frame over copies of a frame's data; until it is fit, it keeps
+    no lag products, so mse_decomposition streams on it."""
     return SignalFrame(x=frame.x.copy(), y=frame.y.copy(), sigma2_v=frame.sigma2_v)
 
 
@@ -199,6 +202,27 @@ class TestConvolve:
             assert max(mse_peaks) <= slack, sigma2_v
 
 
+class TestSignalFrame:
+    def test_owned_arrays_are_taken_over_in_place(self):
+        # a refused frame leaves the caller's arrays writable; an accepted
+        # one makes them read-only without a copy
+        rng = np.random.default_rng(21)
+        x, y = random_complex(rng, 2, 50), random_complex(rng, 3, 50)
+        for args in ((x, y, np.nan), (x, y, -1.0), (x, y[:, 1:], 0.0)):
+            with pytest.raises(ValueError):
+                SignalFrame(*args)
+            assert x.flags.writeable and y.flags.writeable
+        frame = SignalFrame(x, y, 0.0)
+        assert frame.x is x and frame.y is y
+        assert not (x.flags.writeable or y.flags.writeable)
+
+    def test_frames_compare_by_identity(self):
+        a = SignalFrame(np.zeros((2, 5)), np.zeros((1, 5)), 0.0)
+        b = SignalFrame(np.zeros((2, 5)), np.zeros((1, 5)), 0.0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 class TestSimulate:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -214,8 +238,12 @@ class TestSimulate:
         assert np.array_equal(f.y[:, delay:], f.x[:, : n - delay])
 
     def test_frame_is_read_only(self):
+        # down to the array that owns the memory, so nothing can write it
         f = simulate(example1(), 300, 0.01, SeededRng(3))
-        assert not f.x.flags.writeable and not f.y.flags.writeable
+        for a in (f.x, f.y):
+            while a is not None:
+                assert not a.flags.writeable
+                a = a.base
         with pytest.raises(ValueError, match="read-only"):
             f.y[0, 0] = 0.0
 
@@ -558,7 +586,7 @@ class TestMseDecomposition:
     def test_normal_equation_xi_equals_streamed_property(self, data):
         # on the frame it was fit on, an estimate's xi from the frame's lag
         # products agrees with the streamed residual of the same estimate on
-        # a writable copy of the frame; where the guard rejects the form the
+        # an unfit copy of the frame; where the guard rejects the form the
         # two reports are bitwise equal
         n_src = data.draw(st.integers(1, 3), label="L")
         n_out = data.draw(st.integers(1, 3), label="M")
@@ -576,7 +604,7 @@ class TestMseDecomposition:
         est = wiener_estimate(frame, j_hat)
         with counted_convolutions() as calls:
             rep = mse_decomposition(frame, est, sys)
-        ref = mse_decomposition(writable_copy(frame), est, sys)
+        ref = mse_decomposition(unfit_copy(frame), est, sys)
         if calls:
             assert rep == ref
         else:
@@ -605,21 +633,49 @@ class TestMseDecomposition:
 
     def test_other_frame_streams_and_copies_agree(self):
         # the lag products belong to the frame: another frame of the same
-        # shape, a writable frame and an unpickled frame (writable arrays,
-        # its lag products carried along) stream, bitwise as each other
+        # shape streams; an unpickled or deep-copied frame is rebuilt with
+        # read-only arrays and no lag products, and streams bitwise as a
+        # fresh frame over copies does; that frame keeps lag products once
+        # it is fit, and then reports as the fitted frame does
         sys = example1()
         frame = simulate(sys, 5000, 0.01, SeededRng(16))
         other = simulate(sys, 5000, 0.01, SeededRng(17))
         est = wiener_estimate(frame, 2)
-        writable = writable_copy(frame)
-        unpickled = pickle.loads(pickle.dumps(frame))
-        assert 2 in frame._lags and 2 in unpickled._lags and unpickled.y.flags.writeable
+        fresh = unfit_copy(frame)
+        assert 2 in frame._lags
         with counted_convolutions() as calls:
             mse_decomposition(other, est, sys)
-            streamed = mse_decomposition(writable, est, sys)
-            assert mse_decomposition(unpickled, est, sys) == streamed
-        assert len(calls) == 3
-        assert wiener_estimate(writable, 2) == est and writable._lags == {}
+            streamed = mse_decomposition(fresh, est, sys)
+            for rebuilt in (pickle.loads(pickle.dumps(frame)), deepcopy(frame)):
+                assert rebuilt._lags == {}
+                assert not (rebuilt.x.flags.writeable or rebuilt.y.flags.writeable)
+                assert mse_decomposition(rebuilt, est, sys) == streamed
+        assert len(calls) == 4
+        assert wiener_estimate(fresh, 2) == est and 2 in fresh._lags
+        with counted_convolutions() as calls:
+            assert mse_decomposition(fresh, est, sys) == mse_decomposition(frame, est, sys)
+        assert calls == []
+
+    def test_views_are_copied_so_lags_do_not_go_stale(self):
+        # read-only views of writable arrays: writing the bases after the
+        # fit changes neither the frame's data nor its xi, which the lag
+        # products give within 1e-11 of the streamed residual over that data
+        sys = example1()
+        src = simulate(sys, 5000, 0.01, SeededRng(20))
+        base_x, base_y = src.x.copy(), src.y.copy()
+        vx, vy = base_x[:], base_y[:]
+        vx.flags.writeable = vy.flags.writeable = False
+        frame = SignalFrame(vx, vy, 0.01)
+        est = wiener_estimate(frame, 2)
+        base_x[0] = 0.0
+        base_y *= 2.0
+        with counted_convolutions() as calls:
+            rep = mse_decomposition(frame, est, sys)
+        assert calls == []
+        ref = mse_decomposition(unfit_copy(frame), est, sys)
+        assert abs(rep.xi_mse - ref.xi_mse) <= 1e-11 * ref.xi_mse
+        assert not np.shares_memory(frame.x, base_x)
+        assert not np.shares_memory(frame.y, base_y)
 
     def test_only_a_fit_shaped_estimate_takes_the_form(self):
         # taps other than 0..J_hat stream even where the frame keeps lags at
@@ -632,7 +688,7 @@ class TestMseDecomposition:
             with counted_convolutions() as calls:
                 rep = mse_decomposition(frame, est, sys)
             assert len(calls) == 1
-            assert rep == mse_decomposition(writable_copy(frame), est, sys)
+            assert rep == mse_decomposition(unfit_copy(frame), est, sys)
 
     def test_estimate_does_not_keep_its_frame(self):
         frame = simulate(example1(), 5000, 0.01, SeededRng(18))
