@@ -5,14 +5,18 @@ The pool is one per process.  ``run_tasks`` runs a task list on the calling
 thread plus one worker thread per free slot: the usable CPUs (the process's
 affinity set, so ``taskset`` restricts them) minus one for the caller,
 minus the package workers already running; it is the only reader of the
-CPU count.  Perturbation trials and the _BLOCK-bin chunks of ``svd_stack``
-run this way.  A nested call, such as the ``svd_stack`` of a trial, gets
-only the slots left free and runs inline when there are none, so the
-package never runs more threads than there are usable CPUs.  Each task
-writes only its own results, so they are bitwise those of a serial loop,
-whatever the number of threads.  The ``sysid`` GEMMs stay off the pool:
-the BLAS threads them itself, and package threads there would compete with
-the BLAS threads.
+CPU count.  Perturbation trials, the _BLOCK-bin chunks of ``svd_stack``
+and the two tasks of ``sysid.simulate`` run this way.  A nested call, such
+as the ``svd_stack`` of a trial, gets only the slots left free and runs
+inline when there are none, so the package never runs more threads than
+there are usable CPUs.  Each task writes only its own results, or, as
+``simulate``'s two do, adds one term per element into a shared array of
+zeros under a lock, and two terms sum alike in either order; so the
+results are bitwise those of a serial loop, whatever the number of
+threads.  The ``sysid`` GEMMs stay off the pool: the BLAS threads them
+itself, and package threads there would compete with the BLAS threads.  So
+``simulate`` convolves on the calling thread, and only its noise draw,
+random-number work that overlaps a GEMM almost fully, goes to a worker.
 """
 
 from __future__ import annotations

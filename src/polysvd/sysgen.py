@@ -43,21 +43,30 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"cannot interpret {rng!r} as a random source")
 
 
-def complex_normal(rng, shape, sigma2: float = 1.0) -> np.ndarray:
+def complex_normal(rng, shape, sigma2: float = 1.0, out=None) -> np.ndarray:
     """CN(0, sigma2) draws: real and imaginary parts i.i.d. N(0, sigma2/2).
 
     One standard_normal call with a trailing axis of size 2 fixes the draw
     order, so batched and per-element generation consume the stream alike.
     The normals are drawn straight into the (real, imaginary) pairs of a
-    new complex128 array and scaled in place, so the result owns its data
-    and takes no memory beyond the normals themselves.
+    complex128 array and scaled in place, so the draw takes no memory beyond
+    the normals themselves.  That array is new, or ``out``: a C-contiguous
+    complex128 array of the given shape that the caller owns and may reuse
+    (``simulate`` draws its noise blocks into one); any other ``out``
+    raises ValueError before anything is drawn.  The values and the stream
+    they consume are the same either way.
     """
     g = as_generator(rng)
     shape = tuple(shape)
-    z = np.empty(shape, dtype=np.complex128)
-    g.standard_normal(out=z.view(np.float64).reshape(shape + (2,)))
-    z *= np.sqrt(sigma2 / 2.0)
-    return z
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+              and out.flags.c_contiguous and out.shape == shape):
+        raise ValueError(f"out must be a C-contiguous complex128 array of "
+                         f"shape {shape}")
+    g.standard_normal(out=out.view(np.float64).reshape(shape + (2,)))
+    out *= np.sqrt(sigma2 / 2.0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ noisy outputs, solve the sample normal equations over stacked regressors
 and decompose the resulting mean square error into coefficient-error
 energy plus the noise floor.
 
+simulate draws x, then fills y by two tasks of ``densela.run_tasks`` that
+each add into it under one lock: the convolution, on the calling thread,
+and the measurement noise, drawn block by block into one buffer the caller
+allocates, on a worker when the pool has a free slot.  The draw needs only
+the generator state after x, so it leaves the critical path; addition
+commutes, so y is bitwise the same either way.
+
 The convolution and the lag products both run over polyphase windows:
 GEMM row g carries P consecutive samples and reads the P + back samples of
 x they depend on, as overlapping read-only views of one small zero-padded,
@@ -23,22 +30,30 @@ so memory stays O((L + M) N + block), the frame plus one block.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .densela import run_tasks
 from .polymat import PolyMatrix
 from .sysgen import GroundTruthSystem, as_generator, complex_normal
 
 # Window entries of one block: 2**16 complex entries (1 MiB) keep each block
 # GEMM in cache whatever the window length, where a fixed group count would
-# make the blocks of a few-tap system needlessly narrow; simulate draws its
-# noise in blocks of the same size.  The conjugated [x; y] block of
-# _stacked_correlations is P (L + M) / ((P + J) L) times the window block,
-# so it exceeds this when P M > J L: 1.6x on example 1 (J = 2)
+# make the blocks of a few-tap system needlessly narrow.  The conjugated
+# [x; y] block of _stacked_correlations is P (L + M) / ((P + J) L) times the
+# window block, so it exceeds this when P M > J L: 1.6x on example 1 (J = 2)
 _BLOCK_ENTRIES = 1 << 16
+
+# Samples per block of simulate's noise draw.  The draw runs beside the
+# convolution's window and GEMM blocks, so its buffer adds to their peak: a
+# quarter of _BLOCK_ENTRIES keeps the sysid CLI's peak RSS at that of a
+# draw after the convolution, where a full block read 0.3-0.5 MB higher,
+# and did not change ident's throughput
+_NOISE_ENTRIES = 1 << 14
 
 # Samples per polyphase group P: each GEMM row carries P consecutive
 # samples, so a block's copy of x holds each sample about once rather than
@@ -51,6 +66,11 @@ _PHASES = 8
 # uses it only where xi >= _XI_FLOOR S_yy/C (at most 5.3e-12 over 3000
 # random small fits); a noiseless exact fit reads about -1e-15 and streams
 _XI_FLOOR = 1e-4
+
+
+def _check_noise_variance(sigma2_v) -> None:
+    if not 0.0 <= sigma2_v < np.inf:
+        raise ValueError(f"sigma2_v = {sigma2_v} must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +100,7 @@ class SignalFrame:
         if self.x.shape[1] != self.y.shape[1]:
             raise ValueError(f"x holds {self.x.shape[1]} samples but y holds "
                              f"{self.y.shape[1]}")
-        if not 0.0 <= self.sigma2_v < np.inf:
-            raise ValueError(f"sigma2_v = {self.sigma2_v} must be finite and >= 0")
+        _check_noise_variance(self.sigma2_v)
         for name in ("x", "y"):
             a = getattr(self, name)
             if not a.flags.owndata:
@@ -188,36 +207,59 @@ def _convolved_blocks(a: PolyMatrix, x: np.ndarray):
         yield a.n_min + n0, a.n_min + n1, out[: n1 - n0]
 
 
-def _convolve(a: PolyMatrix, x: np.ndarray) -> np.ndarray:
-    """y[n] = sum_p A[p] x[n - p] with zero initial state, n = 0..N-1."""
-    y = np.zeros((a.rows, x.shape[1]), dtype=np.complex128)
+def _convolve(a: PolyMatrix, x: np.ndarray, y: np.ndarray, lock) -> None:
+    """Add y[n] += sum_p A[p] x[n - p] with zero initial state, n = 0..N-1.
+
+    Each block of _convolved_blocks is formed outside ``lock`` and added
+    into its columns of y under it, so another task may add into y
+    meanwhile.
+    """
     for n0, n1, out in _convolved_blocks(a, x):
-        y[:, n0:n1] = out.T
-    return y
+        with lock:
+            y[:, n0:n1] += out.T
 
 
 def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> SignalFrame:
     """Drive the (causally delayed) system with CN(0, 1) sources.
 
-    Additive noise is spatially and temporally white CN(0, sigma2_v), drawn
-    into y in row-major blocks of _BLOCK_ENTRIES samples, so it takes no
-    temporary as large as y and equals one (M, N) draw bit for bit.
-    Requires n_samples to exceed the system order; the frame refuses a
-    sigma2_v that is negative, NaN or infinite.  x and y own their data,
-    so the frame takes them over without a copy.
+    Additive noise is spatially and temporally white CN(0, sigma2_v).  Once
+    x is drawn, y starts at zero and two tasks of ``densela.run_tasks`` add
+    into it, each add under one lock: the convolution (_convolve), on the
+    calling thread, and the noise, drawn in row-major blocks of
+    _NOISE_ENTRIES samples into one buffer that this call allocates, so no
+    temporary is as large as y and the worker allocates nothing.  The draw
+    needs only the generator state after x, so it runs on a worker beside
+    the convolution when the pool has a free slot, and inline after it
+    otherwise.  Addition commutes, so whatever the interleaving y is
+    bitwise the convolution plus one (M, N) draw, and the generator ends
+    where that draw leaves it; sigma2_v = 0 runs the convolution alone.  A
+    negative, NaN or infinite sigma2_v is refused before anything is drawn;
+    n_samples must exceed the system order.  x and y own their data, so
+    the frame takes them over without a copy.
     """
+    _check_noise_variance(sigma2_v)
     a_causal, _ = causal_version(sys.A)
     if n_samples <= a_causal.order:
         raise ValueError(f"n_samples = {n_samples} must exceed the system "
                          f"order {a_causal.order}")
     g = as_generator(rng)
     x = complex_normal(g, (a_causal.cols, n_samples), 1.0)
-    y = _convolve(a_causal, x)
+    y = np.zeros((a_causal.rows, n_samples), dtype=np.complex128)
+    lock = threading.Lock()
+    tasks = [lambda: _convolve(a_causal, x, y, lock)]
     if sigma2_v > 0:
         flat = y.reshape(-1)
-        for i in range(0, flat.size, _BLOCK_ENTRIES):
-            blk = flat[i : i + _BLOCK_ENTRIES]
-            blk += complex_normal(g, blk.shape, sigma2_v)
+        noise = np.empty(min(_NOISE_ENTRIES, flat.size), dtype=np.complex128)
+
+        def add_noise():
+            for i in range(0, flat.size, noise.size):
+                blk = noise[: flat.size - i]
+                complex_normal(g, blk.shape, sigma2_v, out=blk)
+                with lock:
+                    flat[i : i + blk.size] += blk
+
+        tasks.append(add_noise)
+    run_tasks(lambda task: task(), tasks)
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v))
 
 

@@ -37,6 +37,33 @@ class TestComplexNormal:
         assert got.shape == shape and got.dtype == np.complex128
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), (6, 5000)])
+    def test_draw_into_out_is_a_fresh_draw(self, shape):
+        # out is filled and returned, bitwise a new array's draw, and the
+        # stream advances alike
+        g, ref = np.random.default_rng(5), np.random.default_rng(5)
+        buf = np.full(shape, np.nan, dtype=np.complex128)
+        got = complex_normal(g, shape, 0.3, out=buf)
+        assert got is buf
+        assert got.tobytes() == complex_normal(ref, shape, 0.3).tobytes()
+        assert g.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 3), dtype=np.complex64),
+        np.empty((2, 3)),
+        np.empty((3, 2), dtype=np.complex128).T,
+        np.empty((2, 6), dtype=np.complex128)[:, ::2],
+        np.empty((3, 2), dtype=np.complex128),
+        np.empty(6, dtype=np.complex128),
+        [[0j] * 3] * 2,
+    ], ids=["complex64", "float64", "fortran", "strided", "shape", "flat", "list"])
+    def test_refuses_other_out_before_drawing(self, out):
+        g = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="out must be a C-contiguous complex128"):
+            complex_normal(g, (2, 3), out=out)
+        assert g.standard_normal(4).tobytes() == \
+            np.random.default_rng(5).standard_normal(4).tobytes()
+
     @pytest.mark.parametrize("rng", [3, np.int64(3)])
     def test_bare_int_is_not_a_random_source(self, rng):
         # all randomness flows through SeededRng(seed, stream)

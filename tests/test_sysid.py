@@ -4,11 +4,13 @@ import ast
 import dataclasses
 import gc
 import pickle
+import threading
 import tracemalloc
 import weakref
 from contextlib import contextmanager
 from copy import deepcopy
 from pathlib import Path
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from polysvd import (
     wiener_estimate,
 )
 from polysvd import sysid
+from polysvd.densela import run_tasks
 from polysvd.sysgen import GroundTruthSystem, complex_normal
 from polysvd.sysid import SignalFrame, _convolve, _stacked_correlations, _windows
 
@@ -54,12 +57,13 @@ class TestCausalVersion:
 
 @contextmanager
 def small_budget(data):
-    """Shrink the window block budget to a drawn size, so short records
-    span several blocks with a ragged last one."""
+    """Shrink the window and noise block budgets to a drawn size, so short
+    records span several blocks with a ragged last one."""
     budget = data.draw(st.one_of(st.integers(1, 64), st.just(sysid._BLOCK_ENTRIES)),
                        label="block entries")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sysid, "_BLOCK_ENTRIES", budget)
+        mp.setattr(sysid, "_NOISE_ENTRIES", budget)
         yield
 
 
@@ -132,6 +136,13 @@ class TestWindows:
         assert n_prev == stop
 
 
+def convolve(a, x):
+    """simulate's convolution task run alone, into a zero record."""
+    y = np.zeros((a.rows, x.shape[1]), dtype=np.complex128)
+    _convolve(a, x, y, threading.Lock())
+    return y
+
+
 def convolve_reference(a, x):
     """The former per-tap convolution loop."""
     n = x.shape[1]
@@ -157,7 +168,7 @@ class TestConvolve:
         a = PolyMatrix(random_complex(rng, n_out, n_src, n_taps), n_min)
         x = random_complex(rng, n_src, n)
         with small_budget(data), drawn_phases(data):
-            y = _convolve(a, x)
+            y = convolve(a, x)
         ref = convolve_reference(a, x)
         assert y.shape == (n_out, n)
         assert not np.any(y[:, :n_min])
@@ -166,7 +177,7 @@ class TestConvolve:
 
     def test_rejects_noncausal(self):
         with pytest.raises(ValueError, match="causal"):
-            _convolve(PolyMatrix(np.ones((1, 1, 2)), -1), np.ones((1, 5)))
+            convolve(PolyMatrix(np.ones((1, 1, 2)), -1), np.ones((1, 5)))
 
     def test_memory_is_output_plus_blocks(self):
         # beyond its output (the frame, for simulate; nothing, for
@@ -276,8 +287,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("sigma2_v", [-0.5, np.nan, np.inf, -np.inf])
     def test_rejects_bad_noise_variance(self, sigma2_v):
+        # before anything is drawn: the generator is left where it was
+        g = np.random.default_rng(3)
         with pytest.raises(ValueError, match="sigma2_v .* finite and >= 0"):
-            simulate(example1(), 100, sigma2_v, SeededRng(3))
+            simulate(example1(), 100, sigma2_v, g)
+        assert np.array_equal(g.standard_normal(4),
+                              np.random.default_rng(3).standard_normal(4))
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -297,7 +312,7 @@ class TestSimulate:
             frame = simulate(sys, n, sigma2_v, g)
             ref = np.random.default_rng(seed)
             x = complex_normal(ref, (dims[1], n), 1.0)
-            y = _convolve(sys.A, x)
+            y = convolve(sys.A, x)
             y += complex_normal(ref, (dims[0], n), sigma2_v)
         assert np.array_equal(frame.x, x)
         assert np.array_equal(frame.y, y)
@@ -309,12 +324,85 @@ class TestSimulate:
         g, ref = np.random.default_rng(8), np.random.default_rng(8)
         frame = simulate(sys, 100003, 0.01, g)
         x = complex_normal(ref, (2, 100003), 1.0)
-        y = _convolve(causal_version(sys.A)[0], x)
+        y = convolve(causal_version(sys.A)[0], x)
         y += complex_normal(ref, (2, 100003), 0.01)
-        assert y.size > 3 * sysid._BLOCK_ENTRIES
+        assert y.size > 3 * sysid._NOISE_ENTRIES
         assert np.array_equal(frame.y, y)
         assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
 
+    @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
+    @pytest.mark.parametrize("nested", [False, True], ids=["alone", "nested"])
+    @pytest.mark.parametrize("sigma2_v", [0.0, 0.01])
+    def test_bitwise_on_any_pool(self, cpus, nested, sigma2_v, monkeypatch):
+        # one free CPU, or every slot held by an enclosing run_tasks, runs
+        # both tasks on the calling thread; a free slot draws the noise on a
+        # worker; each gives the one-draw x and y and leaves the stream alike
+        noise_threads = []
+        real = sysid.complex_normal
+
+        def spy(*args, **kwargs):
+            if "out" in kwargs:
+                noise_threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sysid, "complex_normal", spy)
+        sys = example1()
+        # 2 n noise samples: three full blocks and a ragged one
+        n = 3 * sysid._NOISE_ENTRIES // 2 + 5
+        g = np.random.default_rng(9)
+        if nested:
+            done = threading.Event()
+
+            def task(i):
+                if i:
+                    assert done.wait(timeout=60)
+                    return None
+                try:
+                    return simulate(sys, n, sigma2_v, g), threading.get_ident()
+                finally:
+                    done.set()
+
+            frame, caller = run_tasks(task, range(cpus))[0]
+        else:
+            frame, caller = simulate(sys, n, sigma2_v, g), threading.get_ident()
+        ref = np.random.default_rng(9)
+        x = complex_normal(ref, (2, n), 1.0)
+        y = convolve(causal_version(sys.A)[0], x)
+        if sigma2_v:
+            y += complex_normal(ref, (2, n), sigma2_v)
+        assert np.array_equal(frame.x, x) and np.array_equal(frame.y, y)
+        assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
+        assert len(noise_threads) == (4 if sigma2_v else 0)
+        inline = cpus == 1 or nested
+        assert all((t == caller) == inline for t in noise_threads)
+
+    @pytest.mark.parametrize("cpus", [16], indirect=True)
+    def test_concurrent_records_stress(self, cpus, monkeypatch):
+        # six records at once, each with its noise on a worker of its own:
+        # twelve threads on the machine's cores and a short switch interval
+        # interleave the adds into each y, blocks large enough that numpy
+        # adds them without the GIL; without the lock about every second
+        # round loses an update, which changes y
+        monkeypatch.setattr(sysid, "_BLOCK_ENTRIES", 4096)
+        monkeypatch.setattr(sysid, "_NOISE_ENTRIES", 4096)
+        sys, n = example1(), 50000
+        want = []
+        for s in range(6):
+            ref = np.random.default_rng(s)
+            x = complex_normal(ref, (2, n), 1.0)
+            y = convolve(causal_version(sys.A)[0], x)
+            y += complex_normal(ref, (2, n), 0.01)
+            want.append((x, y))
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                frames = run_tasks(
+                    lambda s: simulate(sys, n, 0.01, np.random.default_rng(s)), range(6))
+                for frame, (x, y) in zip(frames, want):
+                    assert np.array_equal(frame.x, x) and np.array_equal(frame.y, y)
+        finally:
+            setswitchinterval(interval)
 
 def stacked_gram(frame, j_hat):
     """The former stacked-Gram construction: R_xx as the Gram matrix of the
@@ -525,7 +613,7 @@ class TestMseDecomposition:
         est = sysid.WienerEstimate(A_hat=a, J_hat=j_hat, regularization=0.0)
         with small_budget(data), drawn_phases(data):
             rep = mse_decomposition(frame, est, system_from(a))
-            resid = (_convolve(a, frame.x) - frame.y)[:, j_hat:]
+            resid = (convolve(a, frame.x) - frame.y)[:, j_hat:]
         want = np.vdot(resid, resid).real / (n - j_hat)
         assert abs(rep.xi_mse - want) <= 1e-12 * want
         assert rep.error_energy == 0.0
