@@ -14,6 +14,10 @@ sysid    system identification and MSE decomposition
 
 Every subcommand also takes --seed [0], --out [out] and --format
 {csv,json} [csv], and no other flag; flags are not abbreviated.
+--format picks the format of the tables only: ex1's two track files,
+hist_samples and perturb_traj_*.  Every other file is JSON whatever the
+flag says: ex1_summary, hist_fits, system, perturb_diag_* and both sysid
+files, so sysid shows the flag only in its echoed config.
 
 Every output file embeds the seed, the parsed arguments and the package
 version; a rerun rewrites it byte for byte, noting the overwrite on stderr.

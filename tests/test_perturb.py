@@ -639,9 +639,15 @@ class TestBoundProperties:
         assert _bits(got) == _bits(_five_svd_stewart(a_bin, e_bin, m))
 
 
-def test_import_leaves_scipy_unloaded(tmp_path, monkeypatch):
-    # the runtime needs numpy only: with every scipy import failing, `hist`
-    # still runs its Rician fits and writes the same fits as a normal run
+@pytest.mark.parametrize("argv", [
+    ["ex1", "--bins", "64"],
+    ["hist", "--trials", "100"],
+    ["perturb", "--bins", "64"],
+    ["sysid", "--N", "5000"],
+], ids=["ex1", "hist", "perturb", "sysid"])
+def test_import_leaves_scipy_unloaded(tmp_path, monkeypatch, argv):
+    # the runtime needs numpy only: with every scipy import failing, each
+    # subcommand still runs and writes the same files as a normal run
     import polysvd
 
     src = str(Path(polysvd.__file__).resolve().parents[1])
@@ -656,7 +662,7 @@ def test_import_leaves_scipy_unloaded(tmp_path, monkeypatch):
 
         sys.meta_path.insert(0, NoScipy())
         from polysvd.cli import main
-        code = main(["hist", "--out", "out"])
+        code = main([*sys.argv[1:], "--out", "out"])
         assert not [m for m in sys.modules if m.startswith("scipy")]
         sys.exit(code)
     """)
@@ -664,12 +670,13 @@ def test_import_leaves_scipy_unloaded(tmp_path, monkeypatch):
     blocked.mkdir()
     normal.mkdir()
     env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], env=env, cwd=blocked, check=True,
-                   capture_output=True, text=True, timeout=120)
+    subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=blocked,
+                   check=True, capture_output=True, text=True, timeout=120)
     monkeypatch.chdir(normal)
-    assert main(["hist", "--out", "out"]) == 0
-    fits = (blocked / "out" / "hist_fits.json").read_bytes()
-    assert fits == (normal / "out" / "hist_fits.json").read_bytes()
+    assert main([*argv, "--out", "out"]) == 0
+    trees = [{p.name: p.read_bytes() for p in (d / "out").iterdir()}
+             for d in (blocked, normal)]
+    assert trees[0] == trees[1]
 
 
 def _old_rician_fit(x):
