@@ -9,14 +9,13 @@ CPU count.  Perturbation trials, the _BLOCK-bin chunks of ``svd_stack``
 and the two tasks of ``sysid.simulate`` run this way.  A nested call, such
 as the ``svd_stack`` of a trial, gets only the slots left free and runs
 inline when there are none, so the package never runs more threads than
-there are usable CPUs.  Each task writes only its own results, or, as
-``simulate``'s two do, adds one term per element into a shared array of
-zeros under a lock, and two terms sum alike in either order; so the
+there are usable CPUs.  Each task writes only its own results, so the
 results are bitwise those of a serial loop, whatever the number of
 threads.  The ``sysid`` GEMMs stay off the pool: the BLAS threads them
 itself, and package threads there would compete with the BLAS threads.  So
-``simulate`` convolves on the calling thread, and only its noise draw,
-random-number work that overlaps a GEMM almost fully, goes to a worker.
+``simulate``'s tasks are its two random draws, x and the noise, each from
+its own generator into its own array, and it convolves on the calling
+thread after both.
 """
 
 from __future__ import annotations

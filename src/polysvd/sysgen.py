@@ -51,10 +51,10 @@ def complex_normal(rng, shape, sigma2: float = 1.0, out=None) -> np.ndarray:
     The normals are drawn straight into the (real, imaginary) pairs of a
     complex128 array and scaled in place, so the draw takes no memory beyond
     the normals themselves.  That array is new, or ``out``: a C-contiguous
-    complex128 array of the given shape that the caller owns and may reuse
-    (``simulate`` draws its noise blocks into one); any other ``out``
-    raises ValueError before anything is drawn.  The values and the stream
-    they consume are the same either way.
+    complex128 array of the given shape that the caller owns (``simulate``
+    draws x and the noise straight into its record this way); any other
+    ``out`` raises ValueError before anything is drawn.  The values and the
+    stream they consume are the same either way.
     """
     g = as_generator(rng)
     shape = tuple(shape)

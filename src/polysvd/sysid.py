@@ -6,12 +6,11 @@ noisy outputs, solve the sample normal equations over stacked regressors
 and decompose the resulting mean square error into coefficient-error
 energy plus the noise floor.
 
-simulate draws x, then fills y by two tasks of ``densela.run_tasks`` that
-each add into it under one lock: the convolution, on the calling thread,
-and the measurement noise, drawn block by block into one buffer the caller
-allocates, on a worker when the pool has a free slot.  The draw needs only
-the generator state after x, so it leaves the critical path; addition
-commutes, so y is bitwise the same either way.
+simulate draws x from the caller's generator and the measurement noise
+from a child generator it spawns, each straight into its own array, as the
+two tasks of ``densela.run_tasks``; then the calling thread adds the
+convolution of x into y.  Neither draw reads the other's generator or
+array, so the record is bitwise the same whichever thread draws which.
 
 The convolution and the lag products both run over polyphase windows:
 GEMM row g carries P consecutive samples and reads the P + back samples of
@@ -30,7 +29,6 @@ so memory stays O((L + M) N + block), the frame plus one block.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .densela import run_tasks
-from .polymat import PolyMatrix
+from .polymat import PolyMatrix, _integer
 from .sysgen import GroundTruthSystem, as_generator, complex_normal
 
 # Window entries of one block: 2**16 complex entries (1 MiB) keep each block
@@ -47,13 +45,6 @@ from .sysgen import GroundTruthSystem, as_generator, complex_normal
 # [x; y] block of _stacked_correlations is P (L + M) / ((P + J) L) times the
 # window block, so it exceeds this when P M > J L: 1.6x on example 1 (J = 2)
 _BLOCK_ENTRIES = 1 << 16
-
-# Samples per block of simulate's noise draw.  The draw runs beside the
-# convolution's window and GEMM blocks, so its buffer adds to their peak: a
-# quarter of _BLOCK_ENTRIES keeps the sysid CLI's peak RSS at that of a
-# draw after the convolution, where a full block read 0.3-0.5 MB higher,
-# and did not change ident's throughput
-_NOISE_ENTRIES = 1 << 14
 
 # Samples per polyphase group P: each GEMM row carries P consecutive
 # samples, so a block's copy of x holds each sample about once rather than
@@ -207,59 +198,45 @@ def _convolved_blocks(a: PolyMatrix, x: np.ndarray):
         yield a.n_min + n0, a.n_min + n1, out[: n1 - n0]
 
 
-def _convolve(a: PolyMatrix, x: np.ndarray, y: np.ndarray, lock) -> None:
-    """Add y[n] += sum_p A[p] x[n - p] with zero initial state, n = 0..N-1.
-
-    Each block of _convolved_blocks is formed outside ``lock`` and added
-    into its columns of y under it, so another task may add into y
-    meanwhile.
-    """
+def _convolve(a: PolyMatrix, x: np.ndarray, y: np.ndarray) -> None:
+    """Add y[n] += sum_p A[p] x[n - p] with zero initial state, n = 0..N-1."""
     for n0, n1, out in _convolved_blocks(a, x):
-        with lock:
-            y[:, n0:n1] += out.T
+        y[:, n0:n1] += out.T
 
 
 def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> SignalFrame:
     """Drive the (causally delayed) system with CN(0, 1) sources.
 
-    Additive noise is spatially and temporally white CN(0, sigma2_v).  Once
-    x is drawn, y starts at zero and two tasks of ``densela.run_tasks`` add
-    into it, each add under one lock: the convolution (_convolve), on the
-    calling thread, and the noise, drawn in row-major blocks of
-    _NOISE_ENTRIES samples into one buffer that this call allocates, so no
-    temporary is as large as y and the worker allocates nothing.  The draw
-    needs only the generator state after x, so it runs on a worker beside
-    the convolution when the pool has a free slot, and inline after it
-    otherwise.  Addition commutes, so whatever the interleaving y is
-    bitwise the convolution plus one (M, N) draw, and the generator ends
-    where that draw leaves it; sigma2_v = 0 runs the convolution alone.  A
-    negative, NaN or infinite sigma2_v is refused before anything is drawn;
-    n_samples must exceed the system order.  x and y own their data, so
-    the frame takes them over without a copy.
+    Additive noise is spatially and temporally white CN(0, sigma2_v).  x is
+    one (L, N) draw from ``rng``'s own stream, and the noise one (M, N)
+    draw, straight into y, from the child generator ``rng.spawn(1)`` that
+    each call takes, so consecutive calls on one generator draw their noise
+    from its children 0, 1, ...; sigma2_v = 0 leaves y at zero and draws
+    nothing from the child.  The two draws are the two tasks of
+    ``densela.run_tasks``: x on the calling thread, the noise on a worker
+    when the pool has a free slot and inline after x otherwise.  Each
+    writes only its own array, so the record is bitwise the same either
+    way.  Then the calling thread adds the convolution (_convolve) into y.
+    n_samples must be an integer (TypeError otherwise) that exceeds the
+    system order; a negative, NaN or infinite sigma2_v is refused.  Both
+    are checked before anything is drawn or spawned.  x and y own their
+    data, so the frame takes them over without a copy.
     """
     _check_noise_variance(sigma2_v)
+    n_samples = _integer(n_samples, "n_samples")
     a_causal, _ = causal_version(sys.A)
     if n_samples <= a_causal.order:
         raise ValueError(f"n_samples = {n_samples} must exceed the system "
                          f"order {a_causal.order}")
     g = as_generator(rng)
-    x = complex_normal(g, (a_causal.cols, n_samples), 1.0)
+    (noise_rng,) = g.spawn(1)
+    x = np.empty((a_causal.cols, n_samples), dtype=np.complex128)
     y = np.zeros((a_causal.rows, n_samples), dtype=np.complex128)
-    lock = threading.Lock()
-    tasks = [lambda: _convolve(a_causal, x, y, lock)]
+    tasks = [lambda: complex_normal(g, x.shape, 1.0, out=x)]
     if sigma2_v > 0:
-        flat = y.reshape(-1)
-        noise = np.empty(min(_NOISE_ENTRIES, flat.size), dtype=np.complex128)
-
-        def add_noise():
-            for i in range(0, flat.size, noise.size):
-                blk = noise[: flat.size - i]
-                complex_normal(g, blk.shape, sigma2_v, out=blk)
-                with lock:
-                    flat[i : i + blk.size] += blk
-
-        tasks.append(add_noise)
+        tasks.append(lambda: complex_normal(noise_rng, y.shape, sigma2_v, out=y))
     run_tasks(lambda task: task(), tasks)
+    _convolve(a_causal, x, y)
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v))
 
 
@@ -344,10 +321,11 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     1e-10 tr(R_xx)/D (D the stacked dimension); reg = 0 solves
     unregularized and raises numpy.linalg's LinAlgError on rank-deficient
     data.  Raises ValueError for a negative, NaN or infinite reg, and when
-    the record holds fewer than D post-transient samples (N - J_hat < D).
-    The estimate carries the condition number of R_xx + reg I, from its
+    the record holds fewer than D post-transient samples (N - J_hat < D),
+    and TypeError for a j_hat that is not an integer.  The estimate carries the condition number of R_xx + reg I, from its
     eigenvalues; it forms no xi_MSE (mse_decomposition does).
     """
+    j_hat = _integer(j_hat, "j_hat")
     if j_hat < 0:
         raise ValueError("j_hat must be >= 0")
     if reg is not None and not 0.0 <= reg < np.inf:

@@ -13,6 +13,7 @@ from polysvd import (
     example1,
     random_error,
     scale_to_normalized,
+    simulate,
 )
 from polysvd.sysgen import assemble, random_paraunitary, random_parahermitian_scalar
 from polysvd.sysid import SignalFrame, wiener_estimate
@@ -82,4 +83,23 @@ CASES = [
                          ids=[name for name, _, _ in CASES])
 def test_refused_with_its_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+INTEGER_CASES = [
+    ("simulate-n_samples-float", lambda: simulate(EX1, 1000.0, 0.0, RNG),
+     "n_samples must be an integer, got 1000.0"),
+    ("simulate-n_samples-str", lambda: simulate(EX1, "300", 0.0, RNG),
+     "n_samples must be an integer, got '300'"),
+    ("wiener_estimate-j_hat-float", lambda: wiener_estimate(FRAME, 2.0),
+     "j_hat must be an integer, got 2.0"),
+    ("wiener_estimate-j_hat-None", lambda: wiener_estimate(FRAME, None),
+     "j_hat must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("call, message", [(c, m) for _, c, m in INTEGER_CASES],
+                         ids=[name for name, _, _ in INTEGER_CASES])
+def test_non_integer_refused_with_its_message(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()

@@ -116,6 +116,23 @@ def test_svd_stack_is_the_only_svd_call():
     assert _svd_call_sites() == ["densela._svd_block"] * 2
 
 
+def test_densela_is_the_only_threading_import():
+    # the pool owns the package's threads and their one lock: every other
+    # module's tasks go through run_tasks and write only their own arrays
+    importers = []
+    for path in sorted(Path(polysvd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "threading" for name in names):
+                importers.append(path.stem)
+    assert importers == ["densela"]
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Record (thread, bins) of every np.linalg.svd call.  The Thread

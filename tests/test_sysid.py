@@ -57,13 +57,12 @@ class TestCausalVersion:
 
 @contextmanager
 def small_budget(data):
-    """Shrink the window and noise block budgets to a drawn size, so short
-    records span several blocks with a ragged last one."""
+    """Shrink the window block budget to a drawn size, so short records span
+    several blocks with a ragged last one."""
     budget = data.draw(st.one_of(st.integers(1, 64), st.just(sysid._BLOCK_ENTRIES)),
                        label="block entries")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sysid, "_BLOCK_ENTRIES", budget)
-        mp.setattr(sysid, "_NOISE_ENTRIES", budget)
         yield
 
 
@@ -139,8 +138,20 @@ class TestWindows:
 def convolve(a, x):
     """simulate's convolution task run alone, into a zero record."""
     y = np.zeros((a.rows, x.shape[1]), dtype=np.complex128)
-    _convolve(a, x, y, threading.Lock())
+    _convolve(a, x, y)
     return y
+
+
+def two_draw_record(a, n, sigma2_v, ref):
+    """simulate's rule written out serially: x is one (L, N) draw from
+    ``ref``, and y the convolution of x plus one (M, N) draw from the child
+    ``ref.spawn(1)[0]``, which is spawned whether or not it is drawn from."""
+    x = complex_normal(ref, (a.cols, n), 1.0)
+    y = convolve(a, x)
+    (child,) = ref.spawn(1)
+    if sigma2_v:
+        y += complex_normal(child, (a.rows, n), sigma2_v)
+    return x, y
 
 
 def convolve_reference(a, x):
@@ -181,7 +192,7 @@ class TestConvolve:
 
     def test_memory_is_output_plus_blocks(self):
         # beyond its output (the frame, for simulate; nothing, for
-        # mse_decomposition), each call may hold window or noise blocks but no
+        # mse_decomposition), each call may hold window blocks but no
         # N-length copy of x, (M, N) noise draw or residual (4.8 MB each
         # here, against a slack of 2.1 MB); the split of a fitted estimate
         # takes xi from the frame's lag products (sigma2_v = 0.01) or streams
@@ -294,12 +305,29 @@ class TestSimulate:
         assert np.array_equal(g.standard_normal(4),
                               np.random.default_rng(3).standard_normal(4))
 
+    @pytest.mark.parametrize("n_samples", [300.0, "300"])
+    def test_rejects_non_integer_length(self, n_samples):
+        # before anything is drawn or spawned
+        g = np.random.default_rng(3)
+        with pytest.raises(TypeError, match="^n_samples must be an integer"):
+            simulate(example1(), n_samples, 0.01, g)
+        ref = np.random.default_rng(3)
+        assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
+        assert np.array_equal(g.spawn(1)[0].standard_normal(4),
+                              ref.spawn(1)[0].standard_normal(4))
+
+    def test_numpy_integer_length(self):
+        f = simulate(example1(), np.int64(300), 0.01, SeededRng(3))
+        g = simulate(example1(), 300, 0.01, SeededRng(3))
+        assert f.n_samples == 300 and type(f.n_samples) is int
+        assert np.array_equal(f.x, g.x) and np.array_equal(f.y, g.y)
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
-    def test_blocked_noise_equals_one_draw_property(self, data):
-        # noise drawn block by block into y is bitwise the one-shot
-        # y = convolution + CN(0, sigma2_v) draw of shape (M, N), and leaves
-        # the stream where that draw does
+    def test_record_is_two_draws_and_convolution_property(self, data):
+        # x from the generator, the noise from its first child and the
+        # blocked convolution added in give y bitwise, and the generator is
+        # left where the x draw leaves it
         dims = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="M, L")
         taps = data.draw(st.integers(1, 4), label="taps")
         n = data.draw(st.integers(taps, 300), label="N")
@@ -311,45 +339,67 @@ class TestSimulate:
             g = np.random.default_rng(seed)
             frame = simulate(sys, n, sigma2_v, g)
             ref = np.random.default_rng(seed)
-            x = complex_normal(ref, (dims[1], n), 1.0)
-            y = convolve(sys.A, x)
-            y += complex_normal(ref, (dims[0], n), sigma2_v)
+            x, y = two_draw_record(sys.A, n, sigma2_v, ref)
         assert np.array_equal(frame.x, x)
         assert np.array_equal(frame.y, y)
         assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
 
-    def test_blocked_noise_equals_one_draw_at_full_budget(self):
-        # example1 at N = 10^5: several full noise blocks and a ragged last one
+    def test_record_is_two_draws_and_convolution_at_full_budget(self):
+        # example1 at N = 10^5: several full convolution blocks and a ragged
+        # last one
         sys = example1()
+        a = causal_version(sys.A)[0]
         g, ref = np.random.default_rng(8), np.random.default_rng(8)
         frame = simulate(sys, 100003, 0.01, g)
-        x = complex_normal(ref, (2, 100003), 1.0)
-        y = convolve(causal_version(sys.A)[0], x)
-        y += complex_normal(ref, (2, 100003), 0.01)
-        assert y.size > 3 * sysid._NOISE_ENTRIES
-        assert np.array_equal(frame.y, y)
+        x, y = two_draw_record(a, 100003, 0.01, ref)
+        blocks = [n1 - n0 for n0, n1, _ in sysid._convolved_blocks(a, x)]
+        assert len(blocks) > 3 and blocks[-1] < blocks[0]
+        assert np.array_equal(frame.x, x) and np.array_equal(frame.y, y)
         assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
+
+    def test_consecutive_records_take_consecutive_draws_and_children(self):
+        # two calls on one generator: x from consecutive draws of its stream,
+        # the noise from its children 0 and 1, so the records differ and a
+        # fresh generator of the same seed reproduces both
+        sys, n = example1(), 500
+        a = causal_version(sys.A)[0]
+        g = np.random.default_rng(17)
+        first, second = simulate(sys, n, 0.01, g), simulate(sys, n, 0.01, g)
+        ref = np.random.default_rng(17)
+        x0 = complex_normal(ref, (2, n), 1.0)
+        x1 = complex_normal(ref, (2, n), 1.0)
+        child0, child1 = ref.spawn(2)
+        assert np.array_equal(first.x, x0) and np.array_equal(second.x, x1)
+        assert np.array_equal(first.y, convolve(a, x0) + complex_normal(child0, (2, n), 0.01))
+        assert np.array_equal(second.y, convolve(a, x1) + complex_normal(child1, (2, n), 0.01))
+        assert not np.array_equal(first.y, second.y)
+        assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
+        assert np.array_equal(g.spawn(1)[0].standard_normal(4), ref.spawn(1)[0].standard_normal(4))
+        again = np.random.default_rng(17)
+        for frame in (first, second):
+            rerun = simulate(sys, n, 0.01, again)
+            assert np.array_equal(rerun.x, frame.x) and np.array_equal(rerun.y, frame.y)
 
     @pytest.mark.parametrize("cpus", [1, 3], indirect=True)
     @pytest.mark.parametrize("nested", [False, True], ids=["alone", "nested"])
     @pytest.mark.parametrize("sigma2_v", [0.0, 0.01])
     def test_bitwise_on_any_pool(self, cpus, nested, sigma2_v, monkeypatch):
         # one free CPU, or every slot held by an enclosing run_tasks, runs
-        # both tasks on the calling thread; a free slot draws the noise on a
-        # worker; each gives the one-draw x and y and leaves the stream alike
-        noise_threads = []
+        # both draws on the calling thread; a free slot draws the noise on a
+        # worker; each gives the two-draw x and y and leaves the stream alike.
+        # Both draws pass out=, so the spy tells them apart by generator
+        x_threads, noise_threads = [], []
         real = sysid.complex_normal
+        g = np.random.default_rng(9)
 
-        def spy(*args, **kwargs):
-            if "out" in kwargs:
-                noise_threads.append(threading.get_ident())
-            return real(*args, **kwargs)
+        def spy(rng, *args, **kwargs):
+            (x_threads if rng is g else noise_threads).append(threading.get_ident())
+            return real(rng, *args, **kwargs)
 
         monkeypatch.setattr(sysid, "complex_normal", spy)
         sys = example1()
-        # 2 n noise samples: three full blocks and a ragged one
-        n = 3 * sysid._NOISE_ENTRIES // 2 + 5
-        g = np.random.default_rng(9)
+        # three convolution blocks of 26208 samples, the last one ragged
+        n = 60005
         if nested:
             done = threading.Event()
 
@@ -366,33 +416,24 @@ class TestSimulate:
         else:
             frame, caller = simulate(sys, n, sigma2_v, g), threading.get_ident()
         ref = np.random.default_rng(9)
-        x = complex_normal(ref, (2, n), 1.0)
-        y = convolve(causal_version(sys.A)[0], x)
-        if sigma2_v:
-            y += complex_normal(ref, (2, n), sigma2_v)
+        x, y = two_draw_record(causal_version(sys.A)[0], n, sigma2_v, ref)
         assert np.array_equal(frame.x, x) and np.array_equal(frame.y, y)
         assert np.array_equal(g.standard_normal(4), ref.standard_normal(4))
-        assert len(noise_threads) == (4 if sigma2_v else 0)
+        assert x_threads == [caller]
+        assert len(noise_threads) == (1 if sigma2_v else 0)
         inline = cpus == 1 or nested
         assert all((t == caller) == inline for t in noise_threads)
 
     @pytest.mark.parametrize("cpus", [16], indirect=True)
     def test_concurrent_records_stress(self, cpus, monkeypatch):
         # six records at once, each with its noise on a worker of its own:
-        # twelve threads on the machine's cores and a short switch interval
-        # interleave the adds into each y, blocks large enough that numpy
-        # adds them without the GIL; without the lock about every second
-        # round loses an update, which changes y
+        # twelve threads on the machine's cores, a short switch interval and
+        # small convolution blocks interleave them finely; each record must
+        # still be bitwise its serial two-draw reference
         monkeypatch.setattr(sysid, "_BLOCK_ENTRIES", 4096)
-        monkeypatch.setattr(sysid, "_NOISE_ENTRIES", 4096)
         sys, n = example1(), 50000
-        want = []
-        for s in range(6):
-            ref = np.random.default_rng(s)
-            x = complex_normal(ref, (2, n), 1.0)
-            y = convolve(causal_version(sys.A)[0], x)
-            y += complex_normal(ref, (2, n), 0.01)
-            want.append((x, y))
+        a = causal_version(sys.A)[0]
+        want = [two_draw_record(a, n, 0.01, np.random.default_rng(s)) for s in range(6)]
         interval = getswitchinterval()
         setswitchinterval(1e-6)
         try:
@@ -403,6 +444,7 @@ class TestSimulate:
                     assert np.array_equal(frame.x, x) and np.array_equal(frame.y, y)
         finally:
             setswitchinterval(interval)
+
 
 def stacked_gram(frame, j_hat):
     """The former stacked-Gram construction: R_xx as the Gram matrix of the
@@ -518,6 +560,14 @@ class TestWienerEstimate:
         ).xi_mse
         assert xi_est <= xi_truth + 1e-12
 
+    @pytest.mark.parametrize("j_hat", [True, np.int64(1), np.uint8(1)])
+    def test_integer_like_order_gives_int_order(self, j_hat):
+        # J_hat is the int 1, and the estimate that of j_hat = 1
+        frame = simulate(example1(), 2000, 0.01, SeededRng(6))
+        est, want = wiener_estimate(frame, j_hat), wiener_estimate(frame, 1)
+        assert type(est.J_hat) is int and est.J_hat == 1
+        assert np.array_equal(est.A_hat.coeffs, want.A_hat.coeffs)
+
     @pytest.mark.parametrize("j_hat", [1, 2, 10])
     def test_rejects_record_shorter_than_dimension(self, j_hat):
         d = (j_hat + 1) * 2
@@ -532,6 +582,21 @@ class TestWienerEstimate:
         est = wiener_estimate(frame, 2)
         assert 1.0 <= est.condition < 1.5
         assert est.regularization > 0.0
+
+    def test_noise_level_moves_only_y(self):
+        # the noise has its own generator, so x, R_xx and the fit's
+        # regularization and condition are bitwise those of any other level
+        sys = example1()
+        fits = []
+        for sigma2_v in (0.0, 0.01, 1.5):
+            frame = simulate(sys, 5000, sigma2_v, SeededRng(14))
+            r_xx = _stacked_correlations(frame, 2)[0]
+            fits.append((frame, r_xx, wiener_estimate(frame, 2)))
+        (f0, r0, e0), *rest = fits
+        for frame, r_xx, est in rest:
+            assert np.array_equal(frame.x, f0.x) and not np.array_equal(frame.y, f0.y)
+            assert np.array_equal(r_xx, r0)
+            assert (est.regularization, est.condition) == (e0.regularization, e0.condition)
 
     def test_condition_shortest_record(self):
         # count = d: the sample R_xx is the Gram matrix of a square random
