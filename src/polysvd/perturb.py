@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import anasvd, densela
-from .polymat import PolyMatrix, _integer
+from .polymat import PolyMatrix, _integer, _nonnegative
 from .sysgen import GroundTruthSystem, SeededRng, complex_normal
 
 _SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
@@ -34,7 +34,9 @@ class PerturbConfig:
 
     Exactly one of sigma2_e (per-coefficient complex variance) and
     sigma2_norm (target coefficient-energy ratio against the system) must
-    be set.  error_order = None uses the order of the system matrix.
+    be set, finite and >= 0.  error_order = None uses the order of the
+    system matrix.  trials and n_bins must be integers >= 1, and seed and
+    error_order integers >= 0.
     """
 
     trials: int = 1
@@ -47,18 +49,13 @@ class PerturbConfig:
     def __post_init__(self):
         if (self.sigma2_e is None) == (self.sigma2_norm is None):
             raise ValueError("set exactly one of sigma2_e and sigma2_norm")
-        level = self.sigma2_e if self.sigma2_e is not None else self.sigma2_norm
-        if not np.isfinite(level):
-            raise ValueError("perturbation variance must be finite")
-        if level < 0:
-            raise ValueError("perturbation variance must be >= 0")
-        if _integer(self.seed, "seed") < 0:
-            raise ValueError("seed must be >= 0")
-        if self.error_order is not None and _integer(self.error_order, "error_order") < 0:
-            raise ValueError("error_order must be >= 0")
-        for name in ("trials", "n_bins"):
-            if _integer(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        kind = "sigma2_e" if self.sigma2_e is not None else "sigma2_norm"
+        _nonnegative(getattr(self, kind), kind)
+        _integer(self.seed, "seed", 0)
+        if self.error_order is not None:
+            _integer(self.error_order, "error_order", 0)
+        _integer(self.trials, "trials", 1)
+        _integer(self.n_bins, "n_bins", 1)
 
 
 @dataclass(frozen=True)
@@ -97,11 +94,10 @@ class TrialResult:
 
 
 def random_error(rows: int, cols: int, order: int, sigma2_e: float, rng) -> PolyMatrix:
-    """Causal (order+1)-tap matrix of i.i.d. CN(0, sigma2_e) coefficients."""
-    if sigma2_e < 0:
-        raise ValueError("sigma2_e must be >= 0")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    """Causal (order+1)-tap matrix of i.i.d. CN(0, sigma2_e) coefficients;
+    sigma2_e finite and >= 0, order an integer >= 0, both checked before any draw."""
+    _nonnegative(sigma2_e, "sigma2_e")
+    order = _integer(order, "order", 0)
     taps = complex_normal(rng, (rows, cols, order + 1), sigma2_e)
     return PolyMatrix(taps, 0)
 
@@ -117,10 +113,10 @@ def normalized_variance(err: PolyMatrix, sys_mat: PolyMatrix) -> float:
 def scale_to_normalized(err: PolyMatrix, sys_mat: PolyMatrix, target: float) -> PolyMatrix:
     """Rescale ``err`` so that its normalized variance against ``sys_mat``
     equals ``target`` exactly.  Target 0 gives the zero error, still with
-    ``err``'s taps.  Raises FloatingPointError when the scale is not finite:
-    it overflows, or the energy of ``sys_mat`` does."""
-    if target < 0:
-        raise ValueError("target must be >= 0")
+    ``err``'s taps.  target must be finite and >= 0.  Raises
+    FloatingPointError when the scale is not finite: it overflows, or the
+    energy of ``sys_mat`` does."""
+    _nonnegative(target, "target")
     e_energy = err.frob_energy()
     if e_energy <= 0:
         raise ValueError("error matrix has zero energy")
@@ -170,16 +166,16 @@ def perturb_and_analyze(
 def bin_histogram_trials(
     sys: GroundTruthSystem, omega0: float, trials: int, sigma2_e: float, rng
 ) -> np.ndarray:
-    """Majorized singular values of A(e^{j omega0}) + E(e^{j omega0}) per trial.
+    """Majorized singular values of A(e^{j omega0}) + E_t(e^{j omega0}) per trial t.
 
-    E is freshly drawn each trial with the order of the system matrix.
+    The E_t have the order of the system matrix and come from one
+    random_error draw of trials M rows: E_t is rows t M .. (t + 1) M - 1.
     Returns an (R, trials) array: row m holds the samples of the m-th
-    singular value.
+    singular value.  trials must be an integer >= 1 and sigma2_e finite and
+    >= 0, checked before anything is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _integer(trials, "trials", 1)
     a0 = sys.A.eval_at([omega0])[0]
-    # rows t*M .. t*M + M - 1 are trial t, drawn as per-trial draws would be
     err = random_error(trials * sys.rows, sys.cols, sys.A.order, sigma2_e, rng)
     e0 = err.eval_at([omega0])[0].reshape(trials, sys.rows, sys.cols)
     _, svals, _ = densela.svd_stack(a0[None, :, :] + e0, vectors=False)
@@ -295,8 +291,10 @@ def stewart_bounds(a_bin, e_bin, m: int) -> StewartCheck:
     rank left vectors, and a values-only one of [A, A + E, P E, P_perp E]
     gives every singular value and norm reported.  LAPACK's values with
     and without vectors may differ in the last bit, so sigma_m and
-    sigma_max come from the values-only call, like varsigma.
+    sigma_max come from the values-only call, like varsigma.  m must be an
+    integer (TypeError otherwise) in 0..R-1 (IndexError otherwise).
     """
+    m = _integer(m, "m")
     a_bin = np.asarray(a_bin, dtype=np.complex128)
     e_bin = np.asarray(e_bin, dtype=np.complex128)
     u, s, _ = densela.svd_stack(a_bin[None])

@@ -19,12 +19,21 @@ import numpy as np
 TRIM_TOL = 1e-12
 
 
-def _integer(value, name: str = "power offset") -> int:
-    """value as an int; Python and numpy integers only."""
+def _integer(value, name: str = "power offset", least: int = None) -> int:
+    """value as an int; TypeError unless an integer type, ValueError below least."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def _nonnegative(value, name: str) -> None:
+    """ValueError unless a level or tolerance is finite and >= 0."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} = {value} must be finite and >= 0")
 
 
 class PolyMatrix:
@@ -209,10 +218,9 @@ class PolyMatrix:
         Returns a (K, M, L) array.  On the grid z^{-n} depends on n mod K
         only, so tap t is added into bin (n_min + t) mod K and one in-place
         FFT over the bins gives the values for every K and n_min, equal to
-        eval_at's within 1e-12 * (1 + sum of |coefficients|).
+        eval_at's within 1e-12 * (1 + sum of |coefficients|); K is an integer >= 1.
         """
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        n_bins = _integer(n_bins, "n_bins", 1)
         folded = np.zeros((n_bins, self.rows, self.cols), dtype=np.complex128)
         bins = (self._n_min % n_bins + np.arange(self.n_taps)) % n_bins
         np.add.at(folded, bins, np.moveaxis(self._coeffs, 2, 0))
@@ -225,9 +233,8 @@ class PolyMatrix:
         return float(np.sum(np.abs(self._coeffs) ** 2))
 
     def trim(self, tol: float = TRIM_TOL) -> "PolyMatrix":
-        """Strip leading/trailing tap slices with max magnitude <= tol."""
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        """Strip leading/trailing tap slices with max magnitude <= tol (finite, >= 0)."""
+        _nonnegative(tol, "tol")
         mags = np.abs(self._coeffs).reshape(-1, self.n_taps).max(axis=0)
         keep = np.flatnonzero(mags > tol)
         if keep.size == 0:

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .polymat import TRIM_TOL, PolyMatrix
+from .polymat import TRIM_TOL, PolyMatrix, _integer
 
 FACTOR_TOL = 1e-10
 
@@ -116,10 +116,10 @@ def random_paraunitary(dim: int, order: int, rng) -> PolyMatrix:
 
     Unit vectors are normalized i.i.d. complex Gaussian draws (the
     rotation-invariant choice).  Order 0 yields a random constant unitary
-    matrix from QR orthonormalization of a complex Gaussian matrix.
+    matrix from QR orthonormalization of a complex Gaussian matrix.  order
+    must be an integer >= 0, checked before anything is drawn.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _integer(order, "order", 0)
     g = as_generator(rng)
     if order == 0:
         q, r = np.linalg.qr(complex_normal(g, (dim, dim)))
@@ -139,9 +139,9 @@ def random_parahermitian_scalar(length: int, rng) -> PolyMatrix:
 
     The result is a 1x1 parahermitian Laurent polynomial spanning powers
     z^{length-1} .. z^{-(length-1)}; its unit-circle values are real.
+    length must be an integer >= 1, checked before anything is drawn.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _integer(length, "length", 1)
     taps = complex_normal(rng, (1, 1, length))
     s = PolyMatrix(taps, 0)
     return s + s.parahermitian()

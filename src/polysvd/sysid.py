@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .densela import run_tasks
-from .polymat import PolyMatrix, _integer
+from .polymat import PolyMatrix, _integer, _nonnegative
 from .sysgen import GroundTruthSystem, as_generator, complex_normal
 
 # Window entries of one block: 2**16 complex entries (1 MiB) keep each block
@@ -59,14 +59,9 @@ _PHASES = 8
 _XI_FLOOR = 1e-4
 
 
-def _check_noise_variance(sigma2_v) -> None:
-    if not 0.0 <= sigma2_v < np.inf:
-        raise ValueError(f"sigma2_v = {sigma2_v} must be finite and >= 0")
-
-
 @dataclass(frozen=True, eq=False)
 class SignalFrame:
-    """One input/output record; x and y hold the same N samples.
+    """One input/output record: 2-D x and y of N samples each, sigma2_v finite and >= 0.
 
     The frame owns x and y, so the lag products it keeps cannot go stale:
     once the arguments pass their checks, an array that owns its data is
@@ -91,7 +86,7 @@ class SignalFrame:
         if self.x.shape[1] != self.y.shape[1]:
             raise ValueError(f"x holds {self.x.shape[1]} samples but y holds "
                              f"{self.y.shape[1]}")
-        _check_noise_variance(self.sigma2_v)
+        _nonnegative(self.sigma2_v, "sigma2_v")
         for name in ("x", "y"):
             a = getattr(self, name)
             if not a.flags.owndata:
@@ -218,11 +213,11 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     writes only its own array, so the record is bitwise the same either
     way.  Then the calling thread adds the convolution (_convolve) into y.
     n_samples must be an integer (TypeError otherwise) that exceeds the
-    system order; a negative, NaN or infinite sigma2_v is refused.  Both
+    system order, and sigma2_v finite and >= 0 (ValueError otherwise).  Both
     are checked before anything is drawn or spawned.  x and y own their
     data, so the frame takes them over without a copy.
     """
-    _check_noise_variance(sigma2_v)
+    _nonnegative(sigma2_v, "sigma2_v")
     n_samples = _integer(n_samples, "n_samples")
     a_causal, _ = causal_version(sys.A)
     if n_samples <= a_causal.order:
@@ -320,16 +315,14 @@ def wiener_estimate(frame: SignalFrame, j_hat: int, reg: float = None) -> Wiener
     _stacked_correlations.  reg = None applies the numerical floor
     1e-10 tr(R_xx)/D (D the stacked dimension); reg = 0 solves
     unregularized and raises numpy.linalg's LinAlgError on rank-deficient
-    data.  Raises ValueError for a negative, NaN or infinite reg, and when
-    the record holds fewer than D post-transient samples (N - J_hat < D),
-    and TypeError for a j_hat that is not an integer.  The estimate carries the condition number of R_xx + reg I, from its
+    data.  j_hat must be an integer >= 0, reg finite and >= 0, and the
+    record must hold D post-transient samples (N - J_hat >= D).  The
+    estimate carries the condition number of R_xx + reg I, from its
     eigenvalues; it forms no xi_MSE (mse_decomposition does).
     """
-    j_hat = _integer(j_hat, "j_hat")
-    if j_hat < 0:
-        raise ValueError("j_hat must be >= 0")
-    if reg is not None and not 0.0 <= reg < np.inf:
-        raise ValueError(f"reg = {reg} must be finite and >= 0")
+    j_hat = _integer(j_hat, "j_hat", 0)
+    if reg is not None:
+        _nonnegative(reg, "reg")
     r_xx, r_yx, _ = _stacked_correlations(frame, j_hat)
     d = r_xx.shape[0]
     if reg is None:
@@ -371,11 +364,11 @@ def mse_decomposition(
     time-major slice of y subtracted in place and adds its squared norm, so
     no N-length array is made.  The report depends on the frame, whether
     it was fit at J_hat, and the estimate's fields, so equal estimates,
-    copies included, give equal reports.  Raises ValueError when J_hat is
-    outside 0..N-1 or A_hat does not map the frame's sources to its
-    outputs.
+    copies included, give equal reports.  J_hat must be an integer in
+    0..N-1, and A_hat must map the frame's sources to its outputs.
     """
-    x, y, n, j_hat, a = frame.x, frame.y, frame.n_samples, est.J_hat, est.A_hat
+    x, y, n, a = frame.x, frame.y, frame.n_samples, est.A_hat
+    j_hat = _integer(est.J_hat, "J_hat")
     if not 0 <= j_hat < n:
         raise ValueError(f"J_hat = {j_hat} must lie in 0..{n - 1} for "
                          f"n_samples = {n}")
