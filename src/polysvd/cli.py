@@ -343,8 +343,8 @@ def _validate(ns: argparse.Namespace) -> None:
             ns.sigma2_norm = [0.3, 1e-2, 1e-4]
         if ns.sigma2_norm is not None and ns.sigma2_e is not None:
             raise _UsageError("--sigma2-norm and --sigma2-e are mutually exclusive")
-    if ns.subcommand == "hist" and ns.trials < 100:
-        raise _UsageError("hist requires --trials >= 100")
+    if ns.subcommand == "hist" and ns.trials < perturb.RICIAN_MIN_SAMPLES:
+        raise _UsageError(f"hist requires --trials >= {perturb.RICIAN_MIN_SAMPLES}")
     for dest, (options, least, greatest, _) in _FLAGS.items():
         value = args.get(dest)
         if least is None or value is None:

@@ -26,6 +26,8 @@ _KUMMER_MAX = 50.0
 RANK_TOL = 1e-10
 # Slack on both sides of the Stewart bounds.
 STEWART_TOL = 1e-9
+# Fewest samples rician_fit takes (and so fewest trials the hist command runs).
+RICIAN_MIN_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,10 @@ class TrialResult:
 
 
 def random_error(rows: int, cols: int, order: int, sigma2_e: float, rng) -> PolyMatrix:
-    """Causal (order+1)-tap matrix of i.i.d. CN(0, sigma2_e) coefficients;
-    sigma2_e finite and >= 0, order an integer >= 0, both checked before any draw."""
+    """Causal (order+1)-tap rows x cols matrix of i.i.d. CN(0, sigma2_e)
+    coefficients; rows and cols integers >= 1, order an integer >= 0 and
+    sigma2_e finite and >= 0, all checked before any draw."""
+    rows, cols = _integer(rows, "rows", 1), _integer(cols, "cols", 1)
     _nonnegative(sigma2_e, "sigma2_e")
     order = _integer(order, "order", 0)
     taps = complex_normal(rng, (rows, cols, order + 1), sigma2_e)
@@ -232,11 +236,12 @@ def rician_fit(samples) -> RicianFit:
     reached.  nu is at most the sample mean, so every finite fit stays
     finite when scaled back.
 
-    NaN, infinite or negative samples raise ValueError.
+    Fewer than RICIAN_MIN_SAMPLES samples, or NaN, infinite or negative
+    ones, raise ValueError.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
-    if x.size < 100:
-        raise ValueError("need at least 100 samples")
+    if x.size < RICIAN_MIN_SAMPLES:
+        raise ValueError(f"need at least {RICIAN_MIN_SAMPLES} samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples must be finite")
     if np.any(x < 0):

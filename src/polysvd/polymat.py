@@ -19,9 +19,12 @@ import numpy as np
 TRIM_TOL = 1e-12
 
 
-def _integer(value, name: str = "power offset", least: int = None) -> int:
-    """value as an int; TypeError unless an integer type, ValueError below least."""
+def _integer(value, name: str, least: int = None) -> int:
+    """value as an int: the package's one integer check.  TypeError unless
+    an integer type other than bool, ValueError below least."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
@@ -55,17 +58,20 @@ class PolyMatrix:
             raise ValueError("non-finite coefficient")
         c.setflags(write=False)
         self._coeffs = c
-        self._n_min = _integer(n_min)
+        self._n_min = _integer(n_min, "n_min")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
+        """rows x cols zero matrix; rows and cols integers >= 0."""
+        rows, cols = _integer(rows, "rows", 0), _integer(cols, "cols", 0)
         return cls(np.zeros((rows, cols, 1)), 0)
 
     @classmethod
     def identity(cls, dim: int) -> "PolyMatrix":
-        return cls(np.eye(dim)[:, :, None], 0)
+        """dim x dim identity; dim an integer >= 0."""
+        return cls(np.eye(_integer(dim, "dim", 0))[:, :, None], 0)
 
     @classmethod
     def constant(cls, mat) -> "PolyMatrix":
@@ -182,7 +188,7 @@ class PolyMatrix:
 
     def shifted(self, power: int) -> "PolyMatrix":
         """Multiply by z^{-power}: same taps, offset shifted."""
-        return PolyMatrix(self._coeffs, self._n_min + _integer(power))
+        return PolyMatrix(self._coeffs, self._n_min + _integer(power, "power"))
 
     def parahermitian(self) -> "PolyMatrix":
         """Parahermitian transpose A^P(z) = A^H(1/z*).
@@ -267,13 +273,14 @@ class PolyMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PolyMatrix":
-        for key in ("M", "L", "n_min"):
-            if not isinstance(d[key], int) or isinstance(d[key], bool):
-                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+        """Inverse of to_json_dict.  An M, L or n_min that is not an integer
+        (true and false included) raises TypeError, and coeffs that are not
+        T x M x L x [re, im] ValueError."""
+        rows, cols = _integer(d["M"], "M"), _integer(d["L"], "L")
         taps = np.asarray(d["coeffs"], dtype=float)
         if taps.ndim != 4 or taps.shape[3] != 2:
             raise ValueError("coeffs must be T x M x L x [re, im]")
-        if taps.shape[1] != d["M"] or taps.shape[2] != d["L"]:
+        if taps.shape[1:3] != (rows, cols):
             raise ValueError("coeffs shape disagrees with M, L")
         c = taps[..., 0] + 1j * taps[..., 1]
         return cls(np.moveaxis(c, 0, 2), d["n_min"])

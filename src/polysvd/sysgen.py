@@ -116,9 +116,11 @@ def random_paraunitary(dim: int, order: int, rng) -> PolyMatrix:
 
     Unit vectors are normalized i.i.d. complex Gaussian draws (the
     rotation-invariant choice).  Order 0 yields a random constant unitary
-    matrix from QR orthonormalization of a complex Gaussian matrix.  order
-    must be an integer >= 0, checked before anything is drawn.
+    matrix from QR orthonormalization of a complex Gaussian matrix.  dim
+    must be an integer >= 1 and order one >= 0, checked before anything is
+    drawn.
     """
+    dim = _integer(dim, "dim", 1)
     order = _integer(order, "order", 0)
     g = as_generator(rng)
     if order == 0:

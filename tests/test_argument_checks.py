@@ -1,5 +1,6 @@
 """Argument checks of the library functions: each refusal and its message."""
 
+import ast
 import re
 
 import numpy as np
@@ -22,12 +23,15 @@ from polysvd import (
 )
 from polysvd.sysgen import assemble, random_paraunitary, random_parahermitian_scalar
 from polysvd.sysid import SignalFrame, wiener_estimate
+from test_densela import package_sites
 
 EX1 = example1()
 RNG = SeededRng(0)
 SCALAR = PolyMatrix(np.ones((1, 1, 1)))
 NOT_PU = PolyMatrix(2.0 * np.eye(2)[:, :, None])
 JSON_3X2 = {**EX1.A.to_json_dict(), "M": 3}
+JSON_M_TRUE = {**EX1.A.to_json_dict(), "M": True}
+JSON_L_FLOAT = {**EX1.A.to_json_dict(), "L": 2.5}
 FRAME = SignalFrame(np.zeros((2, 10)), np.zeros((2, 10)), 0.0)
 NAN, INF = float("nan"), float("inf")
 
@@ -56,6 +60,13 @@ CASES = [
      "sigma2_e = inf must be finite and >= 0"),
     ("random_error-order", lambda: random_error(2, 2, -1, 1.0, RNG),
      "order must be >= 0"),
+    ("random_error-rows-negative", lambda: random_error(-1, 2, 1, 1.0, RNG),
+     "rows must be >= 1"),
+    ("random_error-cols-zero", lambda: random_error(2, 0, 1, 1.0, RNG),
+     "cols must be >= 1"),
+    ("PolyMatrix.zeros-rows", lambda: PolyMatrix.zeros(-1, 2), "rows must be >= 0"),
+    ("PolyMatrix.zeros-cols", lambda: PolyMatrix.zeros(2, -3), "cols must be >= 0"),
+    ("PolyMatrix.identity-dim", lambda: PolyMatrix.identity(-1), "dim must be >= 0"),
     ("scale_to_normalized-target", lambda: scale_to_normalized(EX1.A, EX1.A, -1.0),
      "target = -1.0 must be finite and >= 0"),
     ("scale_to_normalized-target-nan", lambda: scale_to_normalized(EX1.A, EX1.A, NAN),
@@ -88,6 +99,7 @@ CASES = [
      "coeffs shape disagrees with M, L"),
     ("random_paraunitary-order", lambda: random_paraunitary(2, -1, RNG),
      "order must be >= 0"),
+    ("random_paraunitary-dim", lambda: random_paraunitary(0, 1, RNG), "dim must be >= 1"),
     ("random_parahermitian_scalar-length", lambda: random_parahermitian_scalar(0, RNG),
      "length must be >= 1"),
     ("random_parahermitian_scalar-length-negative",
@@ -143,6 +155,8 @@ INTEGER_CASES = [
      "j_hat must be an integer, got None"),
     ("wiener_estimate-j_hat-nan", lambda: wiener_estimate(FRAME, NAN),
      "j_hat must be an integer, got nan"),
+    ("wiener_estimate-j_hat-True", lambda: wiener_estimate(FRAME, True),
+     "j_hat must be an integer, got True"),
     ("simulate-n_samples-inf", lambda: simulate(EX1, INF, 0.0, RNG),
      "n_samples must be an integer, got inf"),
     ("eval_grid-float", lambda: EX1.A.eval_grid(16.0), "n_bins must be an integer, got 16.0"),
@@ -188,6 +202,33 @@ INTEGER_CASES = [
      "J_hat must be an integer, got 2.0"),
     ("stewart_bounds-m-float", lambda: stewart_bounds(np.eye(2), np.zeros((2, 2)), 1.0),
      "m must be an integer, got 1.0"),
+    ("random_error-rows-float", lambda: random_error(2.0, 2, 1, 1.0, RNG),
+     "rows must be an integer, got 2.0"),
+    ("random_error-cols-str", lambda: random_error(2, "2", 1, 1.0, RNG),
+     "cols must be an integer, got '2'"),
+    ("random_paraunitary-dim-float", lambda: random_paraunitary(2.0, 1, RNG),
+     "dim must be an integer, got 2.0"),
+    ("PolyMatrix.zeros-rows-float", lambda: PolyMatrix.zeros(2.0, 2),
+     "rows must be an integer, got 2.0"),
+    ("PolyMatrix.zeros-cols-None", lambda: PolyMatrix.zeros(2, None),
+     "cols must be an integer, got None"),
+    ("PolyMatrix.identity-float", lambda: PolyMatrix.identity(2.5),
+     "dim must be an integer, got 2.5"),
+    ("PolyMatrix-n_min-float", lambda: PolyMatrix(np.ones((1, 1, 1)), 0.5),
+     "n_min must be an integer, got 0.5"),
+    ("shifted-float", lambda: EX1.A.shifted(1.0), "power must be an integer, got 1.0"),
+    # True is not a count, though operator.index takes it as 1
+    ("PerturbConfig-trials-True", lambda: PerturbConfig(trials=True, sigma2_e=1.0),
+     "trials must be an integer, got True"),
+    ("eval_grid-True", lambda: EX1.A.eval_grid(True), "n_bins must be an integer, got True"),
+    ("random_error-order-False", lambda: random_error(2, 2, False, 1.0, RNG),
+     "order must be an integer, got False"),
+    ("simulate-n_samples-np.True_", lambda: simulate(EX1, np.True_, 0.0, RNG),
+     "n_samples must be an integer, got np.True_"),
+    ("from_json_dict-M-True", lambda: PolyMatrix.from_json_dict(JSON_M_TRUE),
+     "M must be an integer, got True"),
+    ("from_json_dict-L-float", lambda: PolyMatrix.from_json_dict(JSON_L_FLOAT),
+     "L must be an integer, got 2.5"),
 ]
 
 
@@ -202,13 +243,42 @@ def test_non_integer_refused_with_its_message(call, message):
     lambda g: random_error(2, 2, 1, NAN, g),
     lambda g: random_error(2, 2, 1.0, 1.0, g),
     lambda g: bin_histogram_trials(EX1, np.pi, 100, NAN, g),
+    lambda g: random_error(2.0, 2, 1, 1.0, g),
+    lambda g: random_error(-1, 2, 1, 1.0, g),
     lambda g: random_paraunitary(2, 2.0, g),
+    lambda g: random_paraunitary(0, 1, g),
     lambda g: random_parahermitian_scalar(3.0, g),
 ], ids=["random_error-nan", "random_error-order", "bin_histogram_trials",
-        "random_paraunitary", "random_parahermitian_scalar"])
+        "random_error-rows-float", "random_error-rows-negative",
+        "random_paraunitary", "random_paraunitary-dim", "random_parahermitian_scalar"])
 def test_refused_draw_leaves_the_generator_as_it_was(draw):
     g = np.random.default_rng(7)
     state = g.bit_generator.state
     with pytest.raises((TypeError, ValueError)):
         draw(g)
     assert g.bit_generator.state == state
+
+
+def test_zero_dimensions_accepted():
+    # trim and is_paraunitary build these from the size of any matrix
+    assert PolyMatrix.zeros(0, 2).coeffs.shape == (0, 2, 1)
+    assert PolyMatrix.identity(0).coeffs.shape == (0, 0, 1)
+
+
+def _integer_check(node):
+    """operator.index, or an isinstance test against int or bool."""
+    if isinstance(node, ast.ImportFrom) and node.module == "operator":
+        return "index" in [a.name for a in node.names]
+    if isinstance(node, ast.Attribute):
+        return node.attr == "index" and ast.unparse(node.value) == "operator"
+    if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+            and len(node.args) == 2):
+        return any(isinstance(n, ast.Name) and n.id in ("int", "bool")
+                   for n in ast.walk(node.args[1]))
+    return False
+
+
+def test_integer_is_the_only_integer_check():
+    # one rule for every count, dimension and JSON header: a second
+    # isinstance(..., int) or operator.index elsewhere is a second rule
+    assert package_sites(_integer_check) == ["polymat._integer"] * 2

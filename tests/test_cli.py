@@ -66,10 +66,11 @@ class TestEx1:
         assert code == EXIT_TOLERANCE
 
     @pytest.mark.parametrize("content", [None, "not json {", "[1, 2]"] + [
-        # a fractional or string offset, or a float size
+        # a fractional or string offset, or a float or boolean size
         pytest.param(json.dumps({**example1().A.to_json_dict(), key: value}),
                      id=f"{key}={value!r}")
-        for key, value in (("n_min", -0.5), ("n_min", "-1"), ("M", 2.0))])
+        for key, value in (("n_min", -0.5), ("n_min", "-1"), ("M", 2.0),
+                           ("M", True), ("L", 2.5))])
     def test_unreadable_fixture(self, tmp_path, capsys, content):
         fx = tmp_path / "fixture.json"
         if content is not None:

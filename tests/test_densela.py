@@ -85,35 +85,38 @@ class TestSvd:
             svd_stack(np.zeros(shape))
 
 
-def _svd_call_sites():
-    """'module.function' around every *.linalg.svd call in the package."""
+def package_sites(matches):
+    """'module.function' around every node of the package's source for
+    which matches(node) is true."""
     sites = []
     for path in sorted(Path(polysvd.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
-                assert "svd" not in [a.name for a in node.names], path.name
 
         def visit(node, scope):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                     visit(child, scope + [child.name])
                     continue
-                if (isinstance(child, ast.Call)
-                        and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == "svd"
-                        and ast.unparse(child.func.value).endswith("linalg")):
+                if matches(child):
                     sites.append(".".join([path.stem] + scope))
                 visit(child, scope)
 
-        visit(tree, [])
+        visit(ast.parse(path.read_text()), [])
     return sites
+
+
+def _svd_call(node):
+    """A *.linalg.svd call, or svd imported from a linalg module."""
+    if isinstance(node, ast.ImportFrom):
+        return "linalg" in (node.module or "") and "svd" in [a.name for a in node.names]
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "svd"
+            and ast.unparse(node.func.value).endswith("linalg"))
 
 
 def test_svd_stack_is_the_only_svd_call():
     # the two calls of svd_stack's per-block worker: values only, and full
     # factors
-    assert _svd_call_sites() == ["densela._svd_block"] * 2
+    assert package_sites(_svd_call) == ["densela._svd_block"] * 2
 
 
 def test_densela_is_the_only_threading_import():

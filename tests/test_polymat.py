@@ -541,5 +541,5 @@ class TestJson:
     def test_non_integer_header_rejected(self, key, value):
         d = ex1_matrix().to_json_dict()
         d[key] = value
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(TypeError, match=f"^{key} must be an integer, got "):
             PolyMatrix.from_json_dict(d)

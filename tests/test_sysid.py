@@ -560,7 +560,7 @@ class TestWienerEstimate:
         ).xi_mse
         assert xi_est <= xi_truth + 1e-12
 
-    @pytest.mark.parametrize("j_hat", [True, np.int64(1), np.uint8(1)])
+    @pytest.mark.parametrize("j_hat", [np.int32(1), np.int64(1), np.uint8(1)])
     def test_integer_like_order_gives_int_order(self, j_hat):
         # J_hat is the int 1, and the estimate that of j_hat = 1
         frame = simulate(example1(), 2000, 0.01, SeededRng(6))
