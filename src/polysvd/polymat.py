@@ -52,8 +52,8 @@ class PolyMatrix:
 
     def __init__(self, coeffs, n_min: int = 0):
         c = np.array(coeffs, dtype=np.complex128, copy=True)
-        if c.ndim != 3 or c.shape[2] < 1:
-            raise ValueError("coeffs must have shape (M, L, T) with T >= 1")
+        if c.ndim != 3 or 0 in c.shape:
+            raise ValueError("coeffs must have shape (M, L, T) with M, L, T >= 1")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite coefficient")
         c.setflags(write=False)
@@ -64,14 +64,14 @@ class PolyMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        """rows x cols zero matrix; rows and cols integers >= 0."""
-        rows, cols = _integer(rows, "rows", 0), _integer(cols, "cols", 0)
+        """rows x cols zero matrix; rows and cols integers >= 1."""
+        rows, cols = _integer(rows, "rows", 1), _integer(cols, "cols", 1)
         return cls(np.zeros((rows, cols, 1)), 0)
 
     @classmethod
     def identity(cls, dim: int) -> "PolyMatrix":
-        """dim x dim identity; dim an integer >= 0."""
-        return cls(np.eye(_integer(dim, "dim", 0))[:, :, None], 0)
+        """dim x dim identity; dim an integer >= 1."""
+        return cls(np.eye(_integer(dim, "dim", 1))[:, :, None], 0)
 
     @classmethod
     def constant(cls, mat) -> "PolyMatrix":
@@ -274,9 +274,9 @@ class PolyMatrix:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PolyMatrix":
         """Inverse of to_json_dict.  An M, L or n_min that is not an integer
-        (true and false included) raises TypeError, and coeffs that are not
-        T x M x L x [re, im] ValueError."""
-        rows, cols = _integer(d["M"], "M"), _integer(d["L"], "L")
+        (true and false included) raises TypeError, an M or L below 1 and
+        coeffs that are not T x M x L x [re, im] ValueError."""
+        rows, cols = _integer(d["M"], "M", 1), _integer(d["L"], "L", 1)
         taps = np.asarray(d["coeffs"], dtype=float)
         if taps.ndim != 4 or taps.shape[3] != 2:
             raise ValueError("coeffs must be T x M x L x [re, im]")

@@ -18,10 +18,11 @@ x they depend on, as overlapping read-only views of one small zero-padded,
 time-major copy of a block's segment of x.  The convolution multiplies the
 windows by a block-Toeplitz tap matrix, and the lag products are the block
 diagonals of one Gram of the windows against P time-major samples of
-[x; y] per row.  A frame owns its read-only x and y and keeps the lag
-products of each fit, so the MSE split of an estimate with taps 0..J_hat
-on the frame it was fit on takes xi from the normal equations and
-convolves nothing.  Any other split streams the same convolution blocks:
+[x; y] per row.  A frame keeps the lag products of each fit.  While its
+record is sealed, x and y read-only and owning their data as simulate's
+are, the MSE split of an estimate with taps 0..J_hat on the frame it was
+fit on takes xi from the normal equations and convolves nothing.  Any
+other split streams the same convolution blocks:
 each has the matching slice of y subtracted and adds its squared norm to
 the residual sum, so no residual is stored.  One block is held at a time,
 so memory stays O((L + M) N + block), the frame plus one block.
@@ -63,14 +64,11 @@ _XI_FLOOR = 1e-4
 class SignalFrame:
     """One input/output record: 2-D x and y of N samples each, sigma2_v finite and >= 0.
 
-    The frame owns x and y, so the lag products it keeps cannot go stale:
-    once the arguments pass their checks, an array that owns its data is
-    made read-only in place, and a view, whose base may still be written,
-    is replaced by a read-only copy.  A refused frame leaves the caller's
-    arrays as they were.  A writable view the caller took of an owned
-    array beforehand still writes through it, so keep none.  Frames
-    compare by identity; pickling and copying rebuild a frame through the
-    constructor, without lag products.
+    The frame holds x and y as given: no copy, and their flags unchanged.
+    It keeps the lag products of each fit, which mse_decomposition reuses
+    only while the record is sealed: x and y read-only and owning their
+    data, as simulate's are.  Whoever seals a record keeps no writable view
+    of it.  Frames compare by identity.
     """
 
     x: np.ndarray  # (L, N) unit-variance uncorrelated sources
@@ -87,15 +85,6 @@ class SignalFrame:
             raise ValueError(f"x holds {self.x.shape[1]} samples but y holds "
                              f"{self.y.shape[1]}")
         _nonnegative(self.sigma2_v, "sigma2_v")
-        for name in ("x", "y"):
-            a = getattr(self, name)
-            if not a.flags.owndata:
-                a = a.copy()
-                object.__setattr__(self, name, a)
-            a.flags.writeable = False
-
-    def __reduce__(self):
-        return SignalFrame, (self.x, self.y, self.sigma2_v)
 
     @property
     def n_samples(self) -> int:
@@ -214,8 +203,8 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
     way.  Then the calling thread adds the convolution (_convolve) into y.
     n_samples must be an integer (TypeError otherwise) that exceeds the
     system order, and sigma2_v finite and >= 0 (ValueError otherwise).  Both
-    are checked before anything is drawn or spawned.  x and y own their
-    data, so the frame takes them over without a copy.
+    are checked before anything is drawn or spawned.  Nothing else holds x
+    and y, so making them read-only seals the record (SignalFrame).
     """
     _nonnegative(sigma2_v, "sigma2_v")
     n_samples = _integer(n_samples, "n_samples")
@@ -232,6 +221,7 @@ def simulate(sys: GroundTruthSystem, n_samples: int, sigma2_v: float, rng) -> Si
         tasks.append(lambda: complex_normal(noise_rng, y.shape, sigma2_v, out=y))
     run_tasks(lambda task: task(), tasks)
     _convolve(a_causal, x, y)
+    x.flags.writeable = y.flags.writeable = False
     return SignalFrame(x=x, y=y, sigma2_v=float(sigma2_v))
 
 
@@ -240,14 +230,14 @@ def _stacked_correlations(frame: SignalFrame, j_hat: int):
 
     The first j_hat samples (filter transient) are excluded, so the sums run
     over C = count = N - J regressors; S_yy sums ||y[n]||^2 row by row.
-    The frame keeps the three in _lags for mse_decomposition.  The
-    first block row of R_xx and all of R_yx are the J + 1 lag products
-    sum_n [x[n]; y[n]] x[n - j]^H.  Per window block (back = J, from n = J
-    on), row g of Z_blk holds conj([x; y]) at the P samples n = J + g P + p
-    of polyphase group g, time-major, and Z_blk^T win accumulates one
-    (P (L + M)) x ((P + J) L) Gram.  Lag j is the sum of its P blocks
-    (p, p + J - j), conjugated once at the end, so no conjugated or
-    concatenated copy of the frame is made.
+    The frame keeps the three in _lags, for mse_decomposition on a sealed
+    record.  The first block row of R_xx and all of R_yx are the J + 1 lag
+    products sum_n [x[n]; y[n]] x[n - j]^H.  Per window block (back = J,
+    from n = J on), row g of Z_blk holds conj([x; y]) at the P samples
+    n = J + g P + p of polyphase group g, time-major, and Z_blk^T win
+    accumulates one (P (L + M)) x ((P + J) L) Gram.  Lag j is the sum of
+    its P blocks (p, p + J - j), conjugated once at the end, so no
+    conjugated or concatenated copy of the frame is made.
     Shifting the sum by one sample gives the exact edge recursion
 
         R[i, j] = R[i-1, j-1] + x[J-i] x[J-j]^H - x[N-i] x[N-j]^H,
@@ -355,17 +345,19 @@ def mse_decomposition(
 
     xi_mse averages ||(A_hat * x)[n] - y[n]||^2 over the post-transient
     samples n = J_hat..N-1, with zero initial state; the gap term reports
-    the absolute mismatch of the decomposition.  If the frame keeps lag
-    products at J_hat (it was fit there by wiener_estimate) and A_hat has
-    taps 0..J_hat, xi is S_yy/C - 2 Re<A_hat, R_yx> +
+    the absolute mismatch of the decomposition.  If the record is sealed
+    (x and y read-only and owning their data, as simulate's are), the frame
+    keeps lag products at J_hat (it was fit there by wiener_estimate) and
+    A_hat has taps 0..J_hat, xi is S_yy/C - 2 Re<A_hat, R_yx> +
     Re<A_hat R_xx, A_hat> where that is finite and >= _XI_FLOOR S_yy/C
     (within ~5e-12 of the residual).  Otherwise the residual is summed one
     convolution block at a time: each block of A_hat * x has the matching
     time-major slice of y subtracted in place and adds its squared norm, so
-    no N-length array is made.  The report depends on the frame, whether
-    it was fit at J_hat, and the estimate's fields, so equal estimates,
-    copies included, give equal reports.  J_hat must be an integer in
-    0..N-1, and A_hat must map the frame's sources to its outputs.
+    no N-length array is made.  The report depends on the data, whether the
+    sealed frame was fit at J_hat, and the estimate's fields, so equal
+    estimates, copies included, give equal reports.  J_hat must be an
+    integer in 0..N-1, and A_hat must map the frame's sources to its
+    outputs.
     """
     x, y, n, a = frame.x, frame.y, frame.n_samples, est.A_hat
     j_hat = _integer(est.J_hat, "J_hat")
@@ -376,7 +368,9 @@ def mse_decomposition(
         raise ValueError(f"A_hat is {a.rows}x{a.cols} but the "
                          f"frame has {y.shape[0]} outputs and {x.shape[0]} sources")
     xi = s_yy = np.nan
-    if j_hat in frame._lags and (a.n_min, a.n_taps) == (0, j_hat + 1):
+    # the lag products hold only for a record that nothing can write
+    sealed = all(r.flags.owndata and not r.flags.writeable for r in (x, y))
+    if sealed and j_hat in frame._lags and (a.n_min, a.n_taps) == (0, j_hat + 1):
         r_xx, r_yx, s_yy = frame._lags[j_hat]  # S_yy/C
         a_flat = np.moveaxis(a.coeffs, 2, 1).reshape(a.rows, -1)
         with np.errstate(all="ignore"):  # a non-finite xi streams

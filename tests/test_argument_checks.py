@@ -32,6 +32,7 @@ NOT_PU = PolyMatrix(2.0 * np.eye(2)[:, :, None])
 JSON_3X2 = {**EX1.A.to_json_dict(), "M": 3}
 JSON_M_TRUE = {**EX1.A.to_json_dict(), "M": True}
 JSON_L_FLOAT = {**EX1.A.to_json_dict(), "L": 2.5}
+JSON_M_ZERO = {**EX1.A.to_json_dict(), "M": 0}
 FRAME = SignalFrame(np.zeros((2, 10)), np.zeros((2, 10)), 0.0)
 NAN, INF = float("nan"), float("inf")
 
@@ -64,9 +65,12 @@ CASES = [
      "rows must be >= 1"),
     ("random_error-cols-zero", lambda: random_error(2, 0, 1, 1.0, RNG),
      "cols must be >= 1"),
-    ("PolyMatrix.zeros-rows", lambda: PolyMatrix.zeros(-1, 2), "rows must be >= 0"),
-    ("PolyMatrix.zeros-cols", lambda: PolyMatrix.zeros(2, -3), "cols must be >= 0"),
-    ("PolyMatrix.identity-dim", lambda: PolyMatrix.identity(-1), "dim must be >= 0"),
+    ("PolyMatrix.zeros-rows", lambda: PolyMatrix.zeros(0, 2), "rows must be >= 1"),
+    ("PolyMatrix.zeros-cols", lambda: PolyMatrix.zeros(2, -3), "cols must be >= 1"),
+    ("PolyMatrix.identity-dim", lambda: PolyMatrix.identity(0), "dim must be >= 1"),
+    # no reduction over an empty matrix has a value, so none is built
+    ("PolyMatrix-zero-dimension", lambda: PolyMatrix(np.zeros((0, 2, 3))),
+     "coeffs must have shape (M, L, T) with M, L, T >= 1"),
     ("scale_to_normalized-target", lambda: scale_to_normalized(EX1.A, EX1.A, -1.0),
      "target = -1.0 must be finite and >= 0"),
     ("scale_to_normalized-target-nan", lambda: scale_to_normalized(EX1.A, EX1.A, NAN),
@@ -97,6 +101,8 @@ CASES = [
      "parahermitian check requires a square matrix"),
     ("from_json_dict-shape", lambda: PolyMatrix.from_json_dict(JSON_3X2),
      "coeffs shape disagrees with M, L"),
+    ("from_json_dict-M-zero", lambda: PolyMatrix.from_json_dict(JSON_M_ZERO),
+     "M must be >= 1"),
     ("random_paraunitary-order", lambda: random_paraunitary(2, -1, RNG),
      "order must be >= 0"),
     ("random_paraunitary-dim", lambda: random_paraunitary(0, 1, RNG), "dim must be >= 1"),
@@ -257,12 +263,6 @@ def test_refused_draw_leaves_the_generator_as_it_was(draw):
     with pytest.raises((TypeError, ValueError)):
         draw(g)
     assert g.bit_generator.state == state
-
-
-def test_zero_dimensions_accepted():
-    # trim and is_paraunitary build these from the size of any matrix
-    assert PolyMatrix.zeros(0, 2).coeffs.shape == (0, 2, 1)
-    assert PolyMatrix.identity(0).coeffs.shape == (0, 0, 1)
 
 
 def _integer_check(node):

@@ -82,10 +82,19 @@ def counted_convolutions():
         yield calls
 
 
-def unfit_copy(frame):
-    """A new frame over copies of a frame's data; until it is fit, it keeps
-    no lag products, so mse_decomposition streams on it."""
+def writable_copy(frame):
+    """A new frame over writable copies of a frame's data, so
+    mse_decomposition streams on it, fit or not."""
     return SignalFrame(x=frame.x.copy(), y=frame.y.copy(), sigma2_v=frame.sigma2_v)
+
+
+def sealed_copy(frame):
+    """A new frame over read-only copies of a frame's data: sealed as
+    simulate's records are, so once it is fit mse_decomposition may take xi
+    from its lag products."""
+    x, y = frame.x.copy(), frame.y.copy()
+    x.flags.writeable = y.flags.writeable = False
+    return SignalFrame(x=x, y=y, sigma2_v=frame.sigma2_v)
 
 
 @contextmanager
@@ -225,18 +234,18 @@ class TestConvolve:
 
 
 class TestSignalFrame:
-    def test_owned_arrays_are_taken_over_in_place(self):
-        # a refused frame leaves the caller's arrays writable; an accepted
-        # one makes them read-only without a copy
+    def test_arrays_are_held_as_passed(self):
+        # owned or a view, refused or accepted: the frame copies nothing and
+        # leaves the caller's arrays writable
         rng = np.random.default_rng(21)
-        x, y = random_complex(rng, 2, 50), random_complex(rng, 3, 50)
+        x, y = random_complex(rng, 2, 50), random_complex(rng, 3, 51)[:, 1:]
         for args in ((x, y, np.nan), (x, y, -1.0), (x, y[:, 1:], 0.0)):
             with pytest.raises(ValueError):
                 SignalFrame(*args)
-            assert x.flags.writeable and y.flags.writeable
         frame = SignalFrame(x, y, 0.0)
         assert frame.x is x and frame.y is y
-        assert not (x.flags.writeable or y.flags.writeable)
+        assert x.flags.writeable and x.flags.owndata
+        assert y.flags.writeable and not y.flags.owndata
 
     def test_frames_compare_by_identity(self):
         a = SignalFrame(np.zeros((2, 5)), np.zeros((1, 5)), 0.0)
@@ -757,7 +766,7 @@ class TestMseDecomposition:
         est = wiener_estimate(frame, j_hat)
         with counted_convolutions() as calls:
             rep = mse_decomposition(frame, est, sys)
-        ref = mse_decomposition(unfit_copy(frame), est, sys)
+        ref = mse_decomposition(writable_copy(frame), est, sys)
         if calls:
             assert rep == ref
         else:
@@ -785,50 +794,102 @@ class TestMseDecomposition:
         assert calls == []
 
     def test_other_frame_streams_and_copies_agree(self):
-        # the lag products belong to the frame: another frame of the same
-        # shape streams; an unpickled or deep-copied frame is rebuilt with
-        # read-only arrays and no lag products, and streams bitwise as a
-        # fresh frame over copies does; that frame keeps lag products once
-        # it is fit, and then reports as the fitted frame does
+        # the lag products belong to the frame and serve only a sealed
+        # record: another frame of the same shape streams, and so do a
+        # fitted frame over writable copies and an unpickled or deep-copied
+        # frame, whose arrays come back writable, each bitwise as a fresh
+        # frame over copies does; a fitted frame over sealed copies reports
+        # as the fitted frame does
         sys = example1()
         frame = simulate(sys, 5000, 0.01, SeededRng(16))
         other = simulate(sys, 5000, 0.01, SeededRng(17))
         est = wiener_estimate(frame, 2)
-        fresh = unfit_copy(frame)
-        assert 2 in frame._lags
-        with counted_convolutions() as calls:
-            mse_decomposition(other, est, sys)
-            streamed = mse_decomposition(fresh, est, sys)
-            for rebuilt in (pickle.loads(pickle.dumps(frame)), deepcopy(frame)):
-                assert rebuilt._lags == {}
-                assert not (rebuilt.x.flags.writeable or rebuilt.y.flags.writeable)
-                assert mse_decomposition(rebuilt, est, sys) == streamed
-        assert len(calls) == 4
+        fresh = writable_copy(frame)
         assert wiener_estimate(fresh, 2) == est and 2 in fresh._lags
         with counted_convolutions() as calls:
-            assert mse_decomposition(fresh, est, sys) == mse_decomposition(frame, est, sys)
+            mse_decomposition(other, est, sys)
+            streamed = mse_decomposition(writable_copy(frame), est, sys)
+            for copy in (fresh, pickle.loads(pickle.dumps(frame)), deepcopy(frame)):
+                assert copy.x.flags.writeable and copy.y.flags.writeable
+                assert mse_decomposition(copy, est, sys) == streamed
+        assert len(calls) == 5
+        kept = sealed_copy(frame)
+        assert wiener_estimate(kept, 2) == est
+        with counted_convolutions() as calls:
+            assert mse_decomposition(kept, est, sys) == mse_decomposition(frame, est, sys)
         assert calls == []
 
-    def test_views_are_copied_so_lags_do_not_go_stale(self):
-        # read-only views of writable arrays: writing the bases after the
-        # fit changes neither the frame's data nor its xi, which the lag
-        # products give within 1e-11 of the streamed residual over that data
+    def test_writes_through_an_earlier_view_reach_the_split(self):
+        # a writable view taken before the frame, the fit, then a write
+        # through the view: the split streams the changed data, bitwise as a
+        # fresh frame over it does, where lag products kept from the fit
+        # would report xi = 0.0200 against 3.245
         sys = example1()
         src = simulate(sys, 5000, 0.01, SeededRng(20))
-        base_x, base_y = src.x.copy(), src.y.copy()
-        vx, vy = base_x[:], base_y[:]
-        vx.flags.writeable = vy.flags.writeable = False
-        frame = SignalFrame(vx, vy, 0.01)
+        x, y = src.x.copy(), src.y.copy()
+        vy = y[:]
+        frame = SignalFrame(x, y, 0.01)
         est = wiener_estimate(frame, 2)
-        base_x[0] = 0.0
-        base_y *= 2.0
+        vy *= 2.0
         with counted_convolutions() as calls:
             rep = mse_decomposition(frame, est, sys)
-        assert calls == []
-        ref = mse_decomposition(unfit_copy(frame), est, sys)
-        assert abs(rep.xi_mse - ref.xi_mse) <= 1e-11 * ref.xi_mse
-        assert not np.shares_memory(frame.x, base_x)
-        assert not np.shares_memory(frame.y, base_y)
+        assert len(calls) == 1
+        assert rep == mse_decomposition(writable_copy(frame), est, sys)
+        assert rep.xi_mse > 3.0
+
+    def test_simulate_frame_made_writable_streams(self):
+        # simulate seals its record; an owner that makes y writable again
+        # may write it, so the split streams over the data as it stands
+        sys = example1()
+        frame = simulate(sys, 5000, 0.01, SeededRng(22))
+        est = wiener_estimate(frame, 2)
+        frame.y.flags.writeable = True
+        frame.y[:, ::2] *= 2.0
+        with counted_convolutions() as calls:
+            rep = mse_decomposition(frame, est, sys)
+        assert len(calls) == 1
+        assert rep == mse_decomposition(writable_copy(frame), est, sys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writes_after_the_fit_reach_the_split_property(self, data):
+        # hand-built frames over owned arrays, views or read-only views of
+        # writable bases; after the fit the caller writes through a handle
+        # it kept.  The frame holds the arrays as passed, and the split
+        # equals the streamed report over the data as it stands
+        n_src = data.draw(st.integers(1, 3), label="L")
+        n_out = data.draw(st.integers(1, 3), label="M")
+        j_hat = data.draw(st.integers(0, 4), label="J_hat")
+        n = data.draw(st.integers(j_hat + (j_hat + 1) * n_src, 60), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def record(rows, label):
+            """(array, writable handle taken before the frame)."""
+            kind = data.draw(st.sampled_from(["owned", "view", "read-only view"]),
+                             label=label)
+            base = random_complex(rng, rows, n + 1)
+            if kind == "owned":
+                a = base[:, 1:].copy()
+                return a, a[:]
+            a = base[:, 1:]
+            a.flags.writeable = kind == "view"
+            return a, base[:, 1:]
+
+        (x, wx), (y, wy) = record(n_src, "x"), record(n_out, "y")
+        flags = [(a.flags.writeable, a.flags.owndata) for a in (x, y)]
+        frame = SignalFrame(x, y, 0.01)
+        sys = system_from(PolyMatrix(random_complex(rng, n_out, n_src, 2)))
+        est = wiener_estimate(frame, j_hat)
+        for _ in range(data.draw(st.integers(1, 3), label="writes")):
+            w = data.draw(st.sampled_from([wx, wy]), label="target")
+            r = data.draw(st.integers(0, w.shape[0] - 1), label="row")
+            c = data.draw(st.integers(0, n - 1), label="sample")
+            w[r, c] = data.draw(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                                   allow_infinity=False), label="value")
+        assert frame.x is x and frame.y is y
+        assert [(a.flags.writeable, a.flags.owndata) for a in (x, y)] == flags
+        want = mse_decomposition(SignalFrame(x.copy(), y.copy(), 0.01), est, sys)
+        assert mse_decomposition(frame, est, sys) == want
 
     def test_only_a_fit_shaped_estimate_takes_the_form(self):
         # taps other than 0..J_hat stream even where the frame keeps lags at
@@ -841,7 +902,7 @@ class TestMseDecomposition:
             with counted_convolutions() as calls:
                 rep = mse_decomposition(frame, est, sys)
             assert len(calls) == 1
-            assert rep == mse_decomposition(unfit_copy(frame), est, sys)
+            assert rep == mse_decomposition(writable_copy(frame), est, sys)
 
     def test_estimate_does_not_keep_its_frame(self):
         frame = simulate(example1(), 5000, 0.01, SeededRng(18))
